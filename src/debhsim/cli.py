@@ -2,6 +2,7 @@
 
 import argparse
 import sys
+import time
 
 from .metrics import aggregate
 from .replay import FIXTURES, replay
@@ -36,6 +37,13 @@ def _print_run(sim):
         print("  secure_path %d->%d delay=%.4fs" % (src, dst, delay))
 
 
+def _print_timing(started, events):
+    # Host timing goes to stderr so stdout stays the same run to run.
+    wall = time.perf_counter() - started
+    print("wall=%.3fs events=%d events/s=%.0f" % (wall, events, events / wall),
+          file=sys.stderr)
+
+
 def _cmd_run(args):
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -44,7 +52,9 @@ def _cmd_run(args):
         cfg.defense = args.defense
     if args.trace:
         cfg.trace = True
+    started = time.perf_counter()
     sim = run_scenario(cfg, args.out)
+    _print_timing(started, sim.engine.processed)
     _print_run(sim)
     if args.out:
         print("wrote %s/metrics.csv and %s/audit.log" % (args.out, args.out))
@@ -53,9 +63,12 @@ def _cmd_run(args):
 
 def _cmd_suite(args):
     seeds = _parse_seeds(args.seeds)
+    started = time.perf_counter()
     rows, summary, sims = run_suite(seeds, args.out,
                                     defense=args.defense or "debh",
                                     trace=args.trace)
+    _print_timing(started,
+                  sum(sim.engine.processed for sim in sims.values()))
     print("suite: %d scenarios x %d seeds, defense=%s"
           % (len(summary), len(seeds), args.defense or "debh"))
     for entry in summary:

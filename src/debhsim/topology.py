@@ -2,6 +2,13 @@
 
 import math
 
+# Grid cells are this factor wider than range_m.  The distance test is
+# rounded, so with cells exactly range_m wide a pair it accepts can sit
+# two cells apart when both coordinates lie within an ulp or so of cell
+# edges (near zero, say).  This slack keeps every such pair in adjacent
+# cells for coordinates under about 10**6 cells from the origin.
+_CELL_SLACK = 1.0 + 1e-9
+
 
 class UnknownNodeError(KeyError):
     pass
@@ -58,6 +65,17 @@ class GeometricTopology:
     travel there in a straight line, pause, repeat.  Positions are
     interpolated analytically, so callers only need to invoke step() at
     the transition times it returns.
+
+    Neighbour queries read a snapshot: every node's position at one
+    instant plus a grid of cells about range_m wide, built on the first
+    neighbors() call at a new `now`.  A query scans the 3x3 block of
+    cells around the node, applies the same math.dist(...) <= range_m
+    test to the same floats as a scan over all nodes would, and returns
+    ids sorted, because broadcast scheduling follows that order.
+    has_link() reads the snapshot only when it is for the same `now`.
+    step() drops the snapshot whenever it changes a node's movement,
+    since a leg change moves the node at past times too (position runs
+    the current leg backward for times before it started).
     """
 
     mobile = True
@@ -71,6 +89,8 @@ class GeometricTopology:
         self.max_speed = max_speed
         self.pause_s = pause_s
         self.mobile = mobile
+        self._cell_w = range_m * _CELL_SLACK
+        self._snap = None  # (now, {node: position}, {cell: [node, ...]})
         self._kin = {}
         # Draw order is fixed by sorted node id so a seed pins the layout.
         for n in self.nodes:
@@ -95,6 +115,7 @@ class GeometricTopology:
         dist = math.dist(k.start_pos, k.waypoint)
         k.arrive_time = now + dist / k.speed
         k.pause_until = None
+        self._snap = None
         return k.arrive_time
 
     def position(self, node, now):
@@ -118,27 +139,49 @@ class GeometricTopology:
         if k.pause_until is None and now >= k.arrive_time:
             k.start_pos = k.waypoint
             k.pause_until = now + self.pause_s
+            self._snap = None
             return k.pause_until
         if k.pause_until is not None and now >= k.pause_until:
             return self._start_leg(node, now, rng)
         return k.arrive_time if k.pause_until is None else k.pause_until
 
+    def _snapshot(self, now):
+        snap = self._snap
+        if snap is None or snap[0] != now:
+            pos = {n: self.position(n, now) for n in self.nodes}
+            cells = {}
+            w = self._cell_w
+            for n, (x, y) in pos.items():
+                cells.setdefault((math.floor(x / w), math.floor(y / w)),
+                                 []).append(n)
+            snap = self._snap = (now, pos, cells)
+        return snap
+
     def neighbors(self, node, now=0.0):
         if node not in self._kin:
             raise UnknownNodeError(node)
-        here = self.position(node, now)
+        _, pos, cells = self._snapshot(now)
+        here = pos[node]
+        w, range_m = self._cell_w, self.range_m
+        cx, cy = math.floor(here[0] / w), math.floor(here[1] / w)
         out = []
-        for other in self.nodes:
-            if other == node:
-                continue
-            if math.dist(here, self.position(other, now)) <= self.range_m:
-                out.append(other)
+        for i in (cx - 1, cx, cx + 1):
+            for j in (cy - 1, cy, cy + 1):
+                for other in cells.get((i, j), ()):
+                    if other != node and math.dist(here, pos[other]) <= range_m:
+                        out.append(other)
+        out.sort()
         return out
 
     def has_link(self, u, v, now=0.0):
         if u not in self._kin or v not in self._kin:
             raise UnknownNodeError((u, v))
-        return math.dist(self.position(u, now), self.position(v, now)) <= self.range_m
+        snap = self._snap
+        if snap is not None and snap[0] == now:
+            here, there = snap[1][u], snap[1][v]
+        else:
+            here, there = self.position(u, now), self.position(v, now)
+        return math.dist(here, there) <= self.range_m
 
 
 def bfs_hops(topology, origin, now=0.0):

@@ -1,5 +1,7 @@
 """Command line surface: exit codes and outputs."""
 
+import re
+
 import pytest
 
 from debhsim.cli import _parse_seeds, main
@@ -52,6 +54,18 @@ def test_run_executes_a_config_and_writes_outputs(tmp_path, capsys):
     shown = capsys.readouterr().out
     assert "detected=3" in shown
     assert "planted=3" in shown
+
+
+TIMING = re.compile(r"wall=\d+\.\d{3}s events=[1-9]\d* events/s=\d+\n")
+
+
+def test_run_prints_one_timing_line_to_stderr_only(tmp_path, capsys):
+    code = main(["run", "--config", _config(tmp_path, SINGLE_INI),
+                 "--seed", "7"])
+    assert code == 0
+    shown = capsys.readouterr()
+    assert TIMING.fullmatch(shown.err)
+    assert "wall=" not in shown.out
 
 
 def test_run_defense_override_disables_checking(tmp_path, capsys):
@@ -107,6 +121,7 @@ def test_suite_runs_and_writes_the_combined_csv(tmp_path, capsys):
     code = main(["suite", "--seeds", "0..1", "--out", str(out)])
     assert code == 0
     assert (out / "suite.csv").exists()
-    shown = capsys.readouterr().out
-    assert "7 scenarios x 2 seeds" in shown
-    assert "exact=True" in shown
+    shown = capsys.readouterr()
+    assert "7 scenarios x 2 seeds" in shown.out
+    assert "exact=True" in shown.out
+    assert TIMING.fullmatch(shown.err)

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from debhsim.topology import (GeometricTopology, StaticTopology,
                               UnknownNodeError, bfs_hops)
@@ -14,6 +15,42 @@ def _geo(seed=1, mobile=True, **kw):
                   min_speed=2.0, max_speed=20.0, pause_s=5.0)
     params.update(kw)
     return GeometricTopology(rng=random.Random(seed), mobile=mobile, **params)
+
+
+def _brute_neighbors(topo, node, now):
+    # The reference: every other node, by the same rounded distance test.
+    here = topo.position(node, now)
+    return sorted(other for other in topo.nodes if other != node
+                  and math.dist(here, topo.position(other, now))
+                  <= topo.range_m)
+
+
+def _placed(points, range_m):
+    """An immobile arena with node i+1 parked at points[i]."""
+    topo = _geo(mobile=False, nodes=range(1, len(points) + 1),
+                range_m=range_m)
+    for node, point in zip(topo.nodes, points):
+        k = topo._kin[node]
+        k.start_pos = k.waypoint = point
+    return topo
+
+
+@st.composite
+def _layouts(draw):
+    range_m = draw(st.sampled_from([150.0, 100.0, 7.3, 1.0 / 3]))
+    coord = st.one_of(
+        st.floats(-4 * range_m, 8 * range_m),
+        # Cell edges, and values either side of zero within an ulp of r.
+        st.integers(-4, 8).map(lambda k: k * range_m),
+        st.sampled_from([0.0, -0.0, -1e-17, 1e-17, -5e-324, 5e-324]),
+    )
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
+    # Partners exactly range_m away along an axis.
+    for x, y in draw(st.lists(st.sampled_from(points), max_size=10)):
+        points.append(draw(st.sampled_from([
+            (x + range_m, y), (x - range_m, y),
+            (x, y + range_m), (x, y - range_m)])))
+    return range_m, points
 
 
 def test_static_links_are_symmetric():
@@ -151,3 +188,74 @@ def test_geometric_rejects_unknown_node():
         topo.position(99, 0.0)
     with pytest.raises(UnknownNodeError):
         topo.has_link(1, 99, 0.0)
+
+
+@given(_layouts())
+# Accepted at 150 + 1e-17 rounded to 150, yet two cells apart (-1 and 1)
+# if cells were exactly range_m wide.
+@example((150.0, [(0.0, 0.0), (0.0, -1e-17), (0.0, 150.0)]))
+def test_grid_neighbors_equal_a_full_scan_on_edges_and_off_arena(layout):
+    range_m, points = layout
+    topo = _placed(points, range_m)
+    for node in topo.nodes:
+        assert topo.neighbors(node, 0.0) == _brute_neighbors(topo, node, 0.0)
+
+
+@given(seed=st.integers(0, 2 ** 16),
+       now=st.floats(-300.0, 300.0),
+       range_m=st.sampled_from([60.0, 150.0, 400.0]))
+def test_grid_neighbors_equal_a_full_scan_while_moving(seed, now, range_m):
+    # Times before the first leg ends, negative ones included, run legs
+    # backward and put nodes off the arena.
+    topo = _geo(seed=seed, nodes=range(1, 41), range_m=range_m)
+    for node in topo.nodes:
+        truth = _brute_neighbors(topo, node, now)
+        assert topo.neighbors(node, now) == truth
+        assert [v for v in topo.nodes
+                if v != node and topo.has_link(node, v, now)] == truth
+
+
+def test_past_time_queries_follow_leg_changes():
+    # Forger choice asks bfs_hops(..., now=0.0) mid-run; after legs change,
+    # positions at t=0 change with them, so the snapshot must not survive.
+    topo = _geo(seed=13)
+    rng = random.Random(13)
+    before = {n: topo.neighbors(n, 0.0) for n in topo.nodes}
+    for node in topo.nodes:
+        t = 0.0
+        for _ in range(4):  # no-op, arrive, new leg, arrive
+            t = topo.step(node, t, rng)
+    truth = {n: _brute_neighbors(topo, n, 0.0) for n in topo.nodes}
+    assert truth != before
+    assert {n: topo.neighbors(n, 0.0) for n in topo.nodes} == truth
+
+
+def _count_positions(monkeypatch):
+    calls = []
+    position = GeometricTopology.position
+
+    def counted(topo, node, now):
+        calls.append(node)
+        return position(topo, node, now)
+    monkeypatch.setattr(GeometricTopology, "position", counted)
+    return calls
+
+
+def test_queries_at_one_instant_read_each_position_once(monkeypatch):
+    topo = _geo(seed=3, nodes=range(1, 301), arena=(3162.0, 3162.0),
+                range_m=250.0)
+    calls = _count_positions(monkeypatch)
+    for _ in range(3):
+        for node in topo.nodes:
+            topo.neighbors(node, 7.5)
+            topo.has_link(node, topo.nodes[0], 7.5)
+    assert len(calls) <= len(topo.nodes)
+
+
+def test_has_link_without_a_snapshot_reads_two_positions(monkeypatch):
+    topo = _geo(seed=3, nodes=range(1, 301), arena=(3162.0, 3162.0),
+                range_m=250.0)
+    calls = _count_positions(monkeypatch)
+    topo.has_link(1, 2, 4.0)
+    topo.has_link(1, 2, 5.0)
+    assert calls == [1, 2, 1, 2]
