@@ -67,7 +67,8 @@ class AdversaryGroup:
 
 class AdversaryNode(Node):
     """Relays control traffic like anyone else, lies about routes, and
-    destroys every data-class packet it attracts."""
+    destroys every data-class packet it attracts: the payload, the data
+    control probe and its reply."""
 
     malicious = True
 
@@ -75,19 +76,17 @@ class AdversaryNode(Node):
         super().__init__(node_id, sim)
         self.group = group
 
-    def receive(self, pkt, sender):
-        if pk.is_data_class(pkt):
-            if isinstance(pkt, pk.Data):
-                self.sim.metrics.record_malicious_drop(self.node_id)
-                self.group.note_data(self.node_id, pkt.source)
-            return
-        if isinstance(pkt, pk.NhnQuery) and pkt.addressee == self.node_id:
-            self._answer_nhn_query(pkt, sender)
-            return
-        if isinstance(pkt, pk.BchQuery) and pkt.addressee == self.node_id:
-            self._answer_bch_query(pkt)
-            return
-        super().receive(pkt, sender)
+    # ---- data-class traffic: destroyed ----
+
+    def handle_data(self, data, sender):
+        self.sim.metrics.record_malicious_drop()
+        self.group.note_data(self.node_id, data.source)
+
+    def handle_data_control(self, pkt, sender):
+        """Destroyed: no reply, no trust entry, no further probe."""
+
+    def handle_probe_reply(self, pkt, sender):
+        """Destroyed: the probe it answers stays unanswered."""
 
     # ---- route discovery behavior ----
 
@@ -118,33 +117,24 @@ class AdversaryNode(Node):
                        rreq.dest_seq_known + self.group.seq_inflation, 1,
                        self.node_id, claimed_nhn, TrustState.TRUSTED)
         self.group.engage(self.node_id, rreq.origin)
-        self.sim.metrics.record_forged_rrep(self.node_id)
+        self.sim.metrics.record_forged_rrep()
         self.sim.unicast(self.node_id, sender, rrep)
-        return rrep
 
     def handle_rrep(self, rrep, sender):
         # Relay without the honesty filters.
-        effective_hop = rrep.hop_count + 1
-        if self.node_id == rrep.origin:
-            return
-        self._maybe_install(rrep.destination, sender, effective_hop,
-                            rrep.dest_seq, rrep.generator, rrep.generator_nhn,
-                            rrep.generator_trust)
-        back = self.fresh_route(rrep.origin)
-        if back is not None:
-            self.sim.unicast(self.node_id, back.next_hop,
-                             replace(rrep, hop_count=effective_hop))
+        if self.node_id != rrep.origin:
+            self._relay_rrep(rrep, sender)
 
     # ---- cover stories ----
 
-    def _answer_nhn_query(self, pkt, sender):
+    def handle_nhn_query(self, pkt, sender):
         cover = self.group.cover[self.node_id]
         claimed = cover if cover is not None else pkt.target
         reply = pk.NhnReply(self.node_id, claimed, TrustState.TRUSTED,
                             pkt.asker, pkt.random_number)
         self.sim.unicast(self.node_id, sender, reply, force=True)
 
-    def _answer_bch_query(self, pkt):
+    def handle_bch_query(self, pkt, sender):
         entries = {s: TrustState.TRUSTED for s in pkt.subjects}
         reply = pk.BchReply(self.node_id, entries, pkt.asker, pkt.path_number,
                             pkt.random_number)
@@ -152,11 +142,5 @@ class AdversaryNode(Node):
 
     # ---- elimination ----
 
-    def handle_alarm(self, alarm, sender):
-        # Relay the flood; the list obviously goes unheeded here.
-        key = (alarm.origin, alarm.alarm_id)
-        if key in self.seen_alarms:
-            return
-        self.seen_alarms.add(key)
-        self.sim.broadcast(self.node_id,
-                           replace(alarm, hop_count=alarm.hop_count + 1))
+    def _apply_alarm(self, alarm):
+        """handle_alarm still relays the alarm; its list goes unheeded."""

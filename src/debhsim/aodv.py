@@ -32,8 +32,7 @@ class _Pending:
     """One in-flight route discovery at the source."""
 
     __slots__ = ("destination", "broadcast_id", "excluded", "candidates",
-                 "window_handle", "timeout_handle", "retries_left",
-                 "on_route", "on_fail", "t0")
+                 "timeout_handle", "retries_left", "on_route", "on_fail", "t0")
 
     def __init__(self, destination, broadcast_id, excluded, retries_left,
                  on_route, on_fail, t0):
@@ -41,7 +40,6 @@ class _Pending:
         self.broadcast_id = broadcast_id
         self.excluded = excluded
         self.candidates = []          # (adjusted Rrep, sender)
-        self.window_handle = None
         self.timeout_handle = None
         self.retries_left = retries_left
         self.on_route = on_route
@@ -66,7 +64,6 @@ class Node:
         self.banned = set()
         self.bch = BchTable()
         self.pending = {}             # destination -> _Pending
-        self.sessions = {}            # final destination -> CheckSession
         self.probe_timers = {}        # nonce -> (handle, nhn, target, path)
         self.pending_nhn = {}         # nonce -> (suspect, target, path, handle)
         self.verify_timers = {}       # nonce -> handle
@@ -171,47 +168,40 @@ class Node:
 
     # ---- receive dispatch ----
 
-    def receive(self, pkt, sender):
-        if isinstance(pkt, pk.Rreq):
-            self.handle_rreq(pkt, sender)
-        elif isinstance(pkt, pk.Rrep):
-            self.handle_rrep(pkt, sender)
-        elif isinstance(pkt, pk.Data):
-            self.handle_data(pkt, sender)
-        elif isinstance(pkt, (pk.DataControl, pk.OrdinalProbe)):
-            self.handle_probe(pkt, sender, isinstance(pkt, pk.OrdinalProbe))
-        elif isinstance(pkt, pk.DataControlReply):
-            self.handle_probe_reply(pkt, sender)
-        elif isinstance(pkt, pk.Alarm):
-            self.handle_alarm(pkt, sender)
-        else:
-            self._dispatch_addressed(pkt, sender)
-
-    _ADDRESS_FIELDS = {
-        pk.Ack: "source", pk.SuspectReport: "source", pk.NoRouteReport: "source",
-        pk.NhnQuery: "addressee", pk.NhnReply: "asker",
-        pk.BchQuery: "addressee", pk.BchReply: "asker",
+    # Packet type -> (handler name, field naming its addressee or None).
+    # Handlers are looked up by name, so subclass overrides apply.
+    _HANDLERS = {
+        pk.Rreq: ("handle_rreq", None),
+        pk.Rrep: ("handle_rrep", None),
+        pk.Data: ("handle_data", None),
+        pk.DataControl: ("handle_data_control", None),
+        pk.OrdinalProbe: ("handle_ordinal_probe", None),
+        pk.DataControlReply: ("handle_probe_reply", None),
+        pk.Alarm: ("handle_alarm", None),
+        pk.Ack: ("handle_ack", "source"),
+        pk.SuspectReport: ("handle_suspect_report", "source"),
+        pk.NoRouteReport: ("handle_no_route_report", "source"),
+        pk.NhnQuery: ("handle_nhn_query", "addressee"),
+        pk.NhnReply: ("handle_nhn_reply", "asker"),
+        pk.BchQuery: ("handle_bch_query", "addressee"),
+        pk.BchReply: ("handle_bch_reply", "asker"),
     }
 
-    def _dispatch_addressed(self, pkt, sender):
-        addressee = getattr(pkt, self._ADDRESS_FIELDS[type(pkt)])
-        if addressee != self.node_id:
+    def receive(self, pkt, sender):
+        handler, field = self._HANDLERS[type(pkt)]
+        if field is not None:
+            addressee = getattr(pkt, field)
+            if addressee != self.node_id:
+                self._forward_control(pkt, addressee)
+                return
+        getattr(self, handler)(pkt, sender)
+
+    def _deliver(self, pkt, addressee):
+        """Handle pkt here if it is addressed to this node, else forward it."""
+        if addressee == self.node_id:
+            getattr(self, self._HANDLERS[type(pkt)][0])(pkt, self.node_id)
+        else:
             self._forward_control(pkt, addressee)
-            return
-        if isinstance(pkt, pk.Ack):
-            self.handle_ack(pkt)
-        elif isinstance(pkt, pk.SuspectReport):
-            self.handle_suspect_report(pkt)
-        elif isinstance(pkt, pk.NoRouteReport):
-            self.handle_no_route_report(pkt)
-        elif isinstance(pkt, pk.NhnQuery):
-            self.handle_nhn_query(pkt, sender)
-        elif isinstance(pkt, pk.NhnReply):
-            self.handle_nhn_reply(pkt, sender)
-        elif isinstance(pkt, pk.BchQuery):
-            self.handle_bch_query(pkt)
-        elif isinstance(pkt, pk.BchReply):
-            self.handle_bch_reply(pkt)
 
     def _forward_control(self, pkt, addressee):
         entry = self.fresh_route(addressee)
@@ -255,29 +245,33 @@ class Node:
             return
         if excluded and sender in excluded:
             return
-        effective_hop = rrep.hop_count + 1
         if self.node_id == rrep.origin:
             pend = self.pending.get(rrep.destination)
             if pend is None or pend.broadcast_id != rrep.broadcast_id:
                 return
             if rrep.generator in pend.excluded or sender in pend.excluded:
                 return
-            pend.candidates.append((replace(rrep, hop_count=effective_hop), sender))
+            pend.candidates.append(
+                (replace(rrep, hop_count=rrep.hop_count + 1), sender))
             if len(pend.candidates) == 1:
                 if pend.timeout_handle is not None:
                     pend.timeout_handle.cancel()
-                pend.window_handle = self.sim.schedule_in(
+                self.sim.schedule_in(
                     self.sim.cfg.selection_window,
                     lambda: self._finish_discovery(rrep.destination))
             return
+        self._relay_rrep(rrep, sender)
+
+    def _relay_rrep(self, rrep, sender):
+        """Install the advertised route and pass the reply one hop back."""
+        effective_hop = rrep.hop_count + 1
         self._maybe_install(rrep.destination, sender, effective_hop,
                             rrep.dest_seq, rrep.generator, rrep.generator_nhn,
                             rrep.generator_trust)
         back = self.fresh_route(rrep.origin)
-        if back is None:
-            return
-        self.sim.unicast(self.node_id, back.next_hop,
-                         replace(rrep, hop_count=effective_hop))
+        if back is not None:
+            self.sim.unicast(self.node_id, back.next_hop,
+                             replace(rrep, hop_count=effective_hop))
 
     # ---- data plane ----
 
@@ -294,17 +288,8 @@ class Node:
             return
         if entry is not None:
             entry.fresh = False
-        self._report_to_source(pk.NoRouteReport(
-            self.node_id, data.destination, data.source, 0))
-
-    def _report_to_source(self, report):
-        if report.source == self.node_id:
-            if isinstance(report, pk.NoRouteReport):
-                self.handle_no_route_report(report)
-            else:
-                self.handle_suspect_report(report)
-            return
-        self._forward_control(report, report.source)
+        self._deliver(pk.NoRouteReport(
+            self.node_id, data.destination, data.source, 0), data.source)
 
     # ---- path checking: source side ----
 
@@ -313,7 +298,6 @@ class Node:
                                self.sim.new_session_id(), t0)
         session.on_done = on_done
         session.current_target = destination
-        self.sessions[destination] = session
         self.sim.sessions_all.append(session)
         session.state = "checking"
         self.sim.audit(session, "session", str(destination))
@@ -321,19 +305,15 @@ class Node:
         return session
 
     def _start_path(self, session, rrep):
-        session.current_rrep = rrep
-        session.add_generator(rrep.generator)
-        session.claims[rrep.generator] = (rrep.generator_nhn, rrep.generator_trust)
+        session.take_route(rrep)
         session.nonce = self.sim.rng.getrandbits(64)
         self.sim.register_nonce(session)
-        self._arm_watchdog(session)
         self.sim.audit(session, "route", str(rrep.generator))
-        self._continue_chain(session.source, session.path_number, session.nonce,
-                             session.current_target)
+        self._restart_path(session)
 
     def _restart_path(self, session):
-        """Re-walk the current sub-path after a link break; the path
-        number and nonce stay, suspicion state is untouched."""
+        """Walk the current sub-path from the source.  After a link break
+        the path number and nonce stay, suspicion state is untouched."""
         self._arm_watchdog(session)
         self._continue_chain(session.source, session.path_number, session.nonce,
                              session.current_target)
@@ -343,20 +323,16 @@ class Node:
         if old is not None:
             old.cancel()
         self.watchdogs[session.session_id] = self.sim.schedule_in(
-            self.sim.cfg.session_timeout, lambda: self._session_stalled(session))
-
-    def _session_stalled(self, session):
-        if session.state in ("done",):
-            return
-        self._finish_session(session, aborted=True)
+            self.sim.cfg.session_timeout,
+            lambda: self._finish_session(session, aborted=True))
 
     # ---- path checking: chain walking (any node) ----
 
     def _continue_chain(self, source, path_number, nonce, target):
         entry = self.fresh_route(target)
         if entry is None:
-            self._report_to_source(pk.NoRouteReport(
-                self.node_id, target, source, path_number, nonce))
+            self._deliver(pk.NoRouteReport(
+                self.node_id, target, source, path_number, nonce), source)
             return
         nhn = entry.next_hop
         trusted = self.bch.get(nhn) is TrustState.TRUSTED
@@ -369,8 +345,8 @@ class Node:
         self.sim.audit_by_nonce(nonce, "probe", "%s>%s" % (self.node_id, nhn))
         if not self.sim.unicast(self.node_id, nhn, probe):
             entry.fresh = False
-            self._report_to_source(pk.NoRouteReport(
-                self.node_id, target, source, path_number, nonce))
+            self._deliver(pk.NoRouteReport(
+                self.node_id, target, source, path_number, nonce), source)
             return
         if not trusted:
             self.sim.note_dcp(nonce)
@@ -379,22 +355,19 @@ class Node:
                 lambda: self._probe_timeout(source, path_number, nonce, target, nhn))
             self.probe_timers[nonce] = (handle, nhn, target, path_number)
 
-    def handle_probe(self, pkt, sender, ordinal):
-        if not ordinal:
-            reply = pk.DataControlReply(self.node_id, pkt.random_number,
-                                        pkt.source, pkt.path_number)
-            # The handshake is atomic: a delivered probe always earns its
-            # reply, link churn within the exchange is below model
-            # resolution.
-            self.sim.unicast(self.node_id, sender, reply, force=True)
-            self.bch.set_trusted(sender)
+    def handle_data_control(self, pkt, sender):
+        reply = pk.DataControlReply(self.node_id, pkt.random_number,
+                                    pkt.source, pkt.path_number)
+        # The handshake is atomic: a delivered probe always earns its
+        # reply, link churn within the exchange is below model resolution.
+        self.sim.unicast(self.node_id, sender, reply, force=True)
+        self.bch.set_trusted(sender)
+        self.handle_ordinal_probe(pkt, sender)
+
+    def handle_ordinal_probe(self, pkt, sender):
         if self.node_id == pkt.target:
-            ack = pk.Ack(self.node_id, pkt.source, pkt.random_number,
-                         pkt.path_number)
-            if pkt.source == self.node_id:
-                self.handle_ack(ack)
-            else:
-                self._forward_control(ack, pkt.source)
+            self._deliver(pk.Ack(self.node_id, pkt.source, pkt.random_number,
+                                 pkt.path_number), pkt.source)
             return
         self._continue_chain(pkt.source, pkt.path_number, pkt.random_number,
                              pkt.target)
@@ -465,9 +438,9 @@ class Node:
 
     def _send_suspect_report(self, source, path_number, nonce, suspect,
                              claimed_nhn, claimed_trust):
-        self._report_to_source(pk.SuspectReport(
+        self._deliver(pk.SuspectReport(
             self.node_id, suspect, source, path_number, nonce,
-            claimed_nhn, claimed_trust))
+            claimed_nhn, claimed_trust), source)
 
     # ---- path checking: source reactions ----
 
@@ -481,7 +454,7 @@ class Node:
             return None
         return session
 
-    def handle_suspect_report(self, pkt):
+    def handle_suspect_report(self, pkt, sender):
         session = self._session_for(pkt)
         if session is None or session.path_number in session.resolved_paths:
             return
@@ -504,7 +477,7 @@ class Node:
             return
         self._start_path(session, rrep)
 
-    def handle_no_route_report(self, pkt):
+    def handle_no_route_report(self, pkt, sender):
         if pkt.path_number == 0:
             # A relay lost its next hop; stop reusing the broken route.
             entry = self.table.get(pkt.unreachable)
@@ -525,12 +498,10 @@ class Node:
         """A broken link was healed by rediscovery; same path number."""
         if session.state != "checking":
             return
-        session.current_rrep = rrep
-        session.add_generator(rrep.generator)
-        session.claims[rrep.generator] = (rrep.generator_nhn, rrep.generator_trust)
+        session.take_route(rrep)
         self._restart_path(session)
 
-    def handle_ack(self, pkt):
+    def handle_ack(self, pkt, sender):
         session = self._session_for(pkt)
         if session is None:
             return
@@ -563,13 +534,13 @@ class Node:
         session.add_suspect(target)
         self._finish_session(session)
 
-    def handle_bch_query(self, pkt):
+    def handle_bch_query(self, pkt, sender):
         entries = {s: self.bch.get(s) for s in pkt.subjects}
         reply = pk.BchReply(self.node_id, entries, pkt.asker, pkt.path_number,
                             pkt.random_number)
         self._forward_control(reply, pkt.asker)
 
-    def handle_bch_reply(self, pkt):
+    def handle_bch_reply(self, pkt, sender):
         session = self.sim.session_by_nonce(pkt.random_number)
         if session is None or session.state != "verifying":
             return
@@ -593,7 +564,6 @@ class Node:
         handle = self.watchdogs.pop(session.session_id, None)
         if handle is not None:
             handle.cancel()
-        self.sessions.pop(session.final_destination, None)
         if aborted and not session.blackhole_queue:
             session.verdict = []
             self.sim.audit(session, "abort", "-")

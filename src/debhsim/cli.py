@@ -17,10 +17,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_seeds(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected n..m or a comma list, got %r" % text)
 
 
 def _print_run(sim):
@@ -62,7 +65,7 @@ def _cmd_run(args):
 
 
 def _cmd_suite(args):
-    seeds = _parse_seeds(args.seeds)
+    seeds = args.seeds
     started = time.perf_counter()
     rows, summary, sims = run_suite(seeds, args.out,
                                     defense=args.defense or "debh",
@@ -111,7 +114,7 @@ def main(argv=None):
     p_run.set_defaults(func=_cmd_run)
 
     p_suite = sub.add_parser("suite", help="run the standard scenario set")
-    p_suite.add_argument("--seeds", required=True,
+    p_suite.add_argument("--seeds", required=True, type=_parse_seeds,
                          help="seed range n..m or comma list")
     p_suite.add_argument("--out", required=True)
     p_suite.add_argument("--defense", choices=("debh", "none"), default=None)

@@ -59,12 +59,6 @@ class BchTable:
         return dict(self._entries)
 
 
-def bch_update(table_a, table_b, a, b):
-    """Record a completed probe handshake in both directions."""
-    table_a.set_trusted(b)
-    table_b.set_trusted(a)
-
-
 @dataclass
 class CheckSession:
     """Source-side state of one path security check."""
@@ -100,9 +94,11 @@ class CheckSession:
         pair = self.claims.get(node)
         return pair[0] if pair else None
 
-    def claimed_trust_of(self, node):
-        pair = self.claims.get(node)
-        return pair[1] if pair else None
+    def take_route(self, rrep):
+        """Check the current sub-path along this reply's route."""
+        self.current_rrep = rrep
+        self.add_generator(rrep.generator)
+        self.claims[rrep.generator] = (rrep.generator_nhn, rrep.generator_trust)
 
 
 def resolve_next_target(session, suspect, claimed_nhn):

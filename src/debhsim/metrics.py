@@ -26,7 +26,6 @@ class RunMetrics:
         self.data_control_sent = 0
         self.forged_rreps = 0
         self.malicious_drops = 0
-        self.session_rows = []
         self._marked_sessions = set()
 
     def record_rreq(self, source):
@@ -41,10 +40,10 @@ class RunMetrics:
     def record_detection(self, node_ids):
         self.detected_malicious.update(node_ids)
 
-    def record_forged_rrep(self, node_id):
+    def record_forged_rrep(self):
         self.forged_rreps += 1
 
-    def record_malicious_drop(self, node_id):
+    def record_malicious_drop(self):
         self.malicious_drops += 1
 
     def record_dcp(self):

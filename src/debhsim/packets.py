@@ -1,6 +1,6 @@
 """Packet types exchanged between nodes."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -63,7 +63,8 @@ class DataControl:
 
 @dataclass
 class OrdinalProbe:
-    """Same shape as DataControl but control-class; no reply expected."""
+    """Same shape as DataControl but control-class; no reply expected.
+    A class of its own because the event trace names packets by class."""
 
     node_id: int
     nhn: int
@@ -158,12 +159,3 @@ class Alarm:
     alarm_id: int
     malicious: tuple
     hop_count: int = 0
-
-
-# Packets a black hole destroys instead of handling.  Everything else is
-# control-class and gets relayed or answered normally.
-DATA_CLASS = (Data, DataControl, DataControlReply)
-
-
-def is_data_class(pkt):
-    return isinstance(pkt, DATA_CLASS)

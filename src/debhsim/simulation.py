@@ -222,14 +222,10 @@ class Simulation:
     # ---- run ----
 
     def run(self):
-        if getattr(self.topology, "mobile", False):
+        if self.topology.mobile:
             for nid in self.topology.nodes:
                 self._mobility_step(nid)
         for flow in self.flows:
             self.engine.schedule(flow.start_t, flow.start)
         self.engine.run_until(self.cfg.duration_s)
-        for s in self.sessions_all:
-            self.metrics.session_rows.append(
-                (s.source, s.final_destination, s.path_number, s.dcp_count,
-                 None if s.verdict is None else tuple(s.verdict), s.state))
         return self.metrics

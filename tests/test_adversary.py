@@ -1,7 +1,8 @@
 """Attacker behavior: forged replies, coordination, cover stories."""
 
 from debhsim import packets as pk
-from debhsim.aodv import RoutingEntry
+from debhsim.adversary import AdversaryNode
+from debhsim.aodv import Node, RoutingEntry
 from debhsim.debh import TrustState
 from debhsim.scenario import (ScenarioConfig, build_simulation,
                               cooperative_fixture, single_scenario)
@@ -94,13 +95,40 @@ def test_engagement_is_freed_after_the_victim_quota():
 def test_attacker_destroys_data_and_counts_the_drop():
     sim = _fixture_sim()
     node = sim.nodes[10]
+    # A probe of 14 is outstanding, so an honest node would take 14's
+    # reply as proof and trust it.
+    handle = sim.engine.schedule_in(1.0, lambda: None)
+    node.probe_timers[99] = (handle, 14, 3, 1)
+    queued = len(sim.engine._queue)
     node.receive(pk.Data(1, 3, 0, 0, 512), 2)
     assert sim.metrics.malicious_drops == 1
     assert sim.groups[0].received[(10, 1)] == 1
-    # Hop-check probes die silently too, with no trust side effects.
-    node.receive(pk.DataControl(2, 10, 99, 1, 3, 1), 2)
+    # Hop-check probes and their replies die silently too: nothing is
+    # sent or scheduled, and no trust entry changes.
+    node.receive(pk.DataControl(2, 10, 98, 1, 3, 1), 2)
+    node.receive(pk.DataControlReply(14, 99, 1, 1), 14)
     assert sim.metrics.malicious_drops == 1
+    assert len(sim.engine._queue) == queued
     assert node.bch.entries() == {}
+    assert not handle.cancelled
+    assert list(node.probe_timers) == [99]
+
+
+def test_attacker_relays_ordinal_probes_like_an_honest_node():
+    sim = _fixture_sim()
+    calls = _recorder(sim)
+    relayed = []
+    for node in (sim.nodes[10], Node(10, sim)):
+        node.table[3] = RoutingEntry(3, 14, 2, 1, 3)
+        node.receive(pk.OrdinalProbe(2, 10, 99, 1, 3, 1), 2)
+        relayed.append((calls[:], sorted(node.probe_timers)))
+        del calls[:]
+    assert isinstance(sim.nodes[10], AdversaryNode)
+    assert relayed[0] == relayed[1]
+    ((sender, to, probe, force),), timers = relayed[0]
+    assert (sender, to, force) == (10, 14, False)
+    assert probe == pk.DataControl(10, 14, 99, 1, 3, 1)
+    assert timers == [99]
 
 
 def test_attack_without_defense_starves_the_flow():

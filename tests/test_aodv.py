@@ -201,7 +201,7 @@ def test_route_error_marks_the_sources_entry_stale():
     sim = _sim([(1, 2), (2, 3)])
     node = sim.nodes[1]
     node.table[3] = RoutingEntry(3, 2, 2, 5, 3)
-    node.handle_no_route_report(pk.NoRouteReport(2, 3, 1, 0))
+    node.handle_no_route_report(pk.NoRouteReport(2, 3, 1, 0), 2)
     assert not node.table[3].fresh
 
 

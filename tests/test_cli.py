@@ -96,6 +96,16 @@ def test_usage_errors_exit_one():
     assert err.value.code == 1
 
 
+def test_malformed_seed_range_exits_one(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["suite", "--seeds", "1..x", "--out", str(tmp_path)])
+    assert err.value.code == 1
+    shown = capsys.readouterr()
+    assert shown.err.startswith("debhsim suite: error: argument --seeds: ")
+    assert "1..x" in shown.err
+    assert "Traceback" not in shown.err
+
+
 def test_unknown_fixture_name_exits_one():
     with pytest.raises(SystemExit) as err:
         main(["replay", "--fixture", "bogus"])

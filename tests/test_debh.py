@@ -1,11 +1,9 @@
 """Trust bookkeeping, next-target resolution, and verdict walking."""
 
-import random
-
 from debhsim import packets as pk
 from debhsim.debh import (AUDIT_HEADER, BchTable, CheckSession, TrustState,
-                          adjudicate, bch_update, format_audit_row,
-                          format_queue, is_malicious, resolve_next_target)
+                          adjudicate, format_audit_row, format_queue,
+                          is_malicious, resolve_next_target)
 
 T = TrustState.TRUSTED
 U = TrustState.UNTRUSTED
@@ -45,25 +43,6 @@ def test_bch_entries_returns_a_copy():
     snapshot = table.entries()
     snapshot[2] = U
     assert table.get(2) is T
-
-
-def test_bch_update_sets_both_directions():
-    a, b = BchTable(), BchTable()
-    bch_update(a, b, 1, 2)
-    assert a.get(2) is T
-    assert b.get(1) is T
-
-
-def test_bch_update_keeps_tables_symmetric_under_random_traffic():
-    rng = random.Random(9)
-    tables = {n: BchTable() for n in range(10)}
-    for _ in range(1000):
-        a, b = rng.sample(range(10), 2)
-        bch_update(tables[a], tables[b], a, b)
-    for a in tables:
-        for b in tables:
-            if a != b:
-                assert (tables[a].get(b) is T) == (tables[b].get(a) is T)
 
 
 def _session(generator, generator_nhn, bq=(), source=1, dest=9):
@@ -107,12 +86,14 @@ def test_session_suspect_queue_dedups_but_generator_queue_does_not():
 
 
 def test_session_claim_lookup():
-    s = _session(10, 14)
-    s.claims[10] = (14, T)
+    s = CheckSession(1, 9, session_id=1)
+    rrep = pk.Rrep(1, 9, 1, 5, 1, 10, 14, T)
+    s.take_route(rrep)
+    assert s.current_rrep is rrep
+    assert s.rrep_generator_queue == [10]
+    assert s.claims[10] == (14, T)
     assert s.claim_of(10) == 14
-    assert s.claimed_trust_of(10) is T
     assert s.claim_of(99) is None
-    assert s.claimed_trust_of(99) is None
 
 
 def _lookup(entries):

@@ -1,0 +1,93 @@
+"""Pinned output digests for a few fixed runs.
+
+Any change to simulation behaviour or to the output format moves one of
+these SHA-256 digests.  A change that moves one on purpose says why and
+re-pins it here; every other change must leave them as they are.
+"""
+
+import hashlib
+import math
+import random
+
+import pytest
+
+from debhsim.scenario import ScenarioConfig, run_scenario, run_suite
+
+OUTPUTS = ("metrics.csv", "audit.log", "events.trace")
+
+
+def _paper30(seed, defense):
+    """The 30-node mobile setting under distributed attack; seed 65 holds
+    the known false positive."""
+    pool = random.Random(seed).sample(range(1, 31), 4)
+    return ScenarioConfig(
+        name="paper30", seed=seed, attack_mode="distributed",
+        attack_groups=((pool[0], pool[1]), (pool[2], pool[3])),
+        defense=defense, trace=True)
+
+
+def _benign60():
+    side = 1000.0 * math.sqrt(60 / 30)
+    return ScenarioConfig(name="benign60", node_count=60, arena=(side, side),
+                          connections=20, seed=1, trace=True)
+
+
+RUNS = {
+    "suite-s0": lambda out: run_suite([0], out, trace=True),
+    "paper30-s65-debh": lambda out: run_scenario(_paper30(65, "debh"), out),
+    "paper30-s65-none": lambda out: run_scenario(_paper30(65, "none"), out),
+    "benign60-s1": lambda out: run_scenario(_benign60(), out),
+}
+
+GOLDEN = {
+    "benign60-s1": {
+        "metrics.csv":
+            "51fdb2c7c30083b8964e4762d4ffeec61148f3221f6f96f96436988352dafd3b",
+        "audit.log":
+            "aa42a440a57d0a37a25015279c109d9d8970a7b465b403292c09f3181d1f4d77",
+        "events.trace":
+            "4c581690a578547a88b97fffde38a1f081c39a39a022ca60bbee86c0ef4f558c",
+    },
+    "paper30-s65-debh": {
+        "metrics.csv":
+            "aba957bc4dba9983349b31998b69d798db8c179f1afd46e7255362dbfd96e304",
+        "audit.log":
+            "e4407f6b06256fee67a7b1dcf281f07de4425a9884e4c89b606e2457ea00af2b",
+        "events.trace":
+            "82462be5e68863681c1c687409f9cd62ef8d1c56f5eaf9c1b6ab8352282f9caa",
+    },
+    "paper30-s65-none": {
+        "metrics.csv":
+            "845a4e34227d5eee4791dfce4292362c6fc1d730d975194c69a38237c6bef0d5",
+        "audit.log":
+            "3dcc99f81688aebf899459d16e56056957d4d48e5446478b9e23e5e2d6fd9e85",
+        "events.trace":
+            "6e9cfc251e7fc219e5b77b33830dbc39eede5544d8804b21b295470fe16cd35d",
+    },
+    "suite-s0": {
+        "metrics.csv":
+            "72ec502ba89ded5c56cd650606fbb0efbd7bbc1018f0f073d2e29768500f3310",
+        "audit.log":
+            "22a08b1bf62e2369a83dd9ecaa9d24f0c35b13fb93fa996663dbda0b9f93499b",
+        "events.trace":
+            "f37310b2b2bfd908eaaea705877cae6ce3dc749679e6c5a558c9c0bc167638fb",
+    },
+}
+
+
+def _digests(out_dir):
+    """One digest per output kind over every file of that kind, in name
+    order, with each file's name hashed before its bytes."""
+    hashes = {kind: hashlib.sha256() for kind in OUTPUTS}
+    for path in sorted(out_dir.iterdir()):
+        for kind in OUTPUTS:
+            if path.name.endswith(kind):
+                hashes[kind].update(path.name.encode() + b"\0")
+                hashes[kind].update(path.read_bytes())
+    return {kind: h.hexdigest() for kind, h in hashes.items()}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_outputs_match_the_pinned_digests(name, tmp_path):
+    RUNS[name](str(tmp_path))
+    assert _digests(tmp_path) == GOLDEN[name]

@@ -1,30 +1,21 @@
-"""Packet taxonomy: what a black hole destroys versus what it relays."""
+"""Packet types: every one has a handler in the node's dispatch table."""
+
+import dataclasses
+import inspect
 
 from debhsim import packets as pk
+from debhsim.aodv import Node
 
 
-def test_data_class_covers_payload_and_hop_check_traffic():
-    assert pk.is_data_class(pk.Data(1, 2, 0, 0, 512))
-    assert pk.is_data_class(pk.DataControl(1, 2, 99, 1, 4, 1))
-    assert pk.is_data_class(pk.DataControlReply(2, 99, 1, 1))
-
-
-def test_control_class_packets_are_not_data():
-    control = [
-        pk.Rreq(1, 4, 1, 0, 1),
-        pk.Rrep(1, 4, 1, 5, 0, 4, 4),
-        pk.OrdinalProbe(1, 2, 99, 1, 4, 1),
-        pk.Ack(4, 1, 99, 1),
-        pk.SuspectReport(2, 3, 1, 1),
-        pk.NoRouteReport(2, 4, 1, 1),
-        pk.NhnQuery(1, 3, 4),
-        pk.NhnReply(3, 4, None, 1),
-        pk.BchQuery(1, 3, (4,), 1),
-        pk.BchReply(3, {}, 1, 1),
-        pk.Alarm(1, 1, (3,)),
-    ]
-    for pkt in control:
-        assert not pk.is_data_class(pkt)
+def test_every_packet_type_has_a_handler():
+    types = [cls for _, cls in inspect.getmembers(pk, inspect.isclass)
+             if dataclasses.is_dataclass(cls) and cls.__module__ == pk.__name__]
+    assert set(types) == set(Node._HANDLERS)
+    for cls in types:
+        handler, field = Node._HANDLERS[cls]
+        assert callable(getattr(Node, handler)), cls
+        if field is not None:
+            assert field in {f.name for f in dataclasses.fields(cls)}, cls
 
 
 def test_flood_packet_defaults():

@@ -97,8 +97,7 @@ def test_second_check_skips_probes_on_a_fully_trusted_path():
 
 def test_session_rows_collect_after_the_run():
     sim = run_scenario(single_scenario(seed=7))
-    (row,) = sim.metrics.session_rows
-    source, dest, path, dcp, verdict, state = row
-    assert (source, dest) == (1, 4)
-    assert state == "done"
-    assert verdict == (3,)
+    (session,) = sim.sessions_all
+    assert (session.source, session.final_destination) == (1, 4)
+    assert session.state == "done"
+    assert session.verdict == [3]
