@@ -33,12 +33,13 @@ class AdversaryGroup:
         for m in self.members:
             peers = [p for p in self.members if p != m]
             if peers:
-                hops = bfs_hops(topology, m)
+                hops = bfs_hops(topology, m, 0.0)
                 self.cover[m] = min(peers, key=lambda p: (hops.get(p, 1 << 30), p))
 
     def _hops_from(self, origin):
         if origin not in self._hops_cache:
-            self._hops_cache[origin] = bfs_hops(self.topology, origin)
+            # t=0, not sim.now: ROADMAP item 2 moves it, changing outputs.
+            self._hops_cache[origin] = bfs_hops(self.topology, origin, 0.0)
         return self._hops_cache[origin]
 
     def designated_forger(self, origin, destination):

@@ -2,11 +2,13 @@
 
 import math
 
-# Grid cells are this factor wider than range_m.  The distance test is
-# rounded, so with cells exactly range_m wide a pair it accepts can sit
-# two cells apart when both coordinates lie within an ulp or so of cell
-# edges (near zero, say).  This slack keeps every such pair in adjacent
-# cells for coordinates under about 10**6 cells from the origin.
+# Grid cells are this factor wider than the candidate reach.  The
+# distance test is rounded, so with cells exactly that wide a pair it
+# accepts can sit two cells apart when both coordinates lie within an ulp
+# or so of cell edges (near zero, say).  This slack keeps every such pair
+# in adjacent cells for coordinates under about 10**6 cells from the
+# origin.  Movement windows are shorter by the same factor, which leaves
+# the skin a margin for rounded positions.
 _CELL_SLACK = 1.0 + 1e-9
 
 
@@ -58,6 +60,20 @@ class _Kinematics:
         self.pause_until = None  # set while paused
 
 
+class _Positions(dict):
+    """Node positions at one instant, read on first access."""
+
+    __slots__ = ("topology", "now")
+
+    def __init__(self, topology, now):
+        super().__init__()
+        self.topology, self.now = topology, now
+
+    def __missing__(self, node):
+        pos = self[node] = self.topology.position(node, self.now)
+        return pos
+
+
 class GeometricTopology:
     """Nodes in a rectangular arena, linked when within range_m.
 
@@ -66,16 +82,28 @@ class GeometricTopology:
     interpolated analytically, so callers only need to invoke step() at
     the transition times it returns.
 
-    Neighbour queries read a snapshot: every node's position at one
-    instant plus a grid of cells about range_m wide, built on the first
-    neighbors() call at a new `now`.  A query scans the 3x3 block of
-    cells around the node, applies the same math.dist(...) <= range_m
-    test to the same floats as a scan over all nodes would, and returns
-    ids sorted, because broadcast scheduling follows that order.
-    has_link() reads the snapshot only when it is for the same `now`.
-    step() drops the snapshot whenever it changes a node's movement,
-    since a leg change moves the node at past times too (position runs
-    the current leg backward for times before it started).
+    Neighbour queries read a movement window, a Verlet neighbour list
+    with a skin.  A window holds every node's position at its start t0,
+    a grid of cells about range_m + skin wide, and, built on a node's
+    first query in the window, the sorted ids within range_m + skin of
+    that node at t0.  neighbors() filters that candidate list with the
+    same math.dist(...) <= range_m test on the same floats as a scan over
+    all nodes would, so it returns the same ids, sorted, because
+    broadcast scheduling follows that order.  Positions at the queried
+    instant are memoised, and has_link() reads at most two of them.
+
+    The skin is range_m / 4 and a window lasts W = skin / (2 * max_speed)
+    = range_m / (8 * max_speed) seconds.  Under one movement state a node
+    moves at most max_speed * |t - t0| between t0 and t, and across a
+    step() its position is continuous from the change on, so two nodes
+    within range_m at any now in [t0, t0 + W] were within range_m + skin
+    at t0.  A window therefore serves queries whose now lies in
+    [t0, t0 + W] and is no earlier than any movement change step() made
+    since t0.  An earlier now, such as the t=0 hop count of forger
+    choice in the middle of a run, rebuilds the window: a leg change
+    moves the node at past times too, because position() runs the
+    current leg backward for times before it started.  Nodes that never
+    move get an endless window and no skin.
     """
 
     mobile = True
@@ -89,8 +117,19 @@ class GeometricTopology:
         self.max_speed = max_speed
         self.pause_s = pause_s
         self.mobile = mobile
-        self._cell_w = range_m * _CELL_SLACK
-        self._snap = None  # (now, {node: position}, {cell: [node, ...]})
+        skin = range_m / 4 if mobile else 0.0
+        self._window_s = (skin / (2 * max_speed * _CELL_SLACK) if mobile
+                          else math.inf)
+        self._reach = range_m + skin
+        self._cell_w = self._reach * _CELL_SLACK
+        # The window: its start t0, the latest change step() made since
+        # (inf after one earlier than t0, which forces a rebuild),
+        # positions and cells at t0, and the candidate lists built so far.
+        self._t0 = math.inf
+        self._changed = -math.inf
+        self._pos0 = self._cells = self._cand = None
+        # Positions at the latest queried instant.
+        self._memo = None
         self._kin = {}
         # Draw order is fixed by sorted node id so a seed pins the layout.
         for n in self.nodes:
@@ -115,7 +154,6 @@ class GeometricTopology:
         dist = math.dist(k.start_pos, k.waypoint)
         k.arrive_time = now + dist / k.speed
         k.pause_until = None
-        self._snap = None
         return k.arrive_time
 
     def position(self, node, now):
@@ -139,52 +177,73 @@ class GeometricTopology:
         if k.pause_until is None and now >= k.arrive_time:
             k.start_pos = k.waypoint
             k.pause_until = now + self.pause_s
-            self._snap = None
+            self._moved(now)
             return k.pause_until
         if k.pause_until is not None and now >= k.pause_until:
+            self._moved(now)
             return self._start_leg(node, now, rng)
         return k.arrive_time if k.pause_until is None else k.pause_until
 
-    def _snapshot(self, now):
-        snap = self._snap
-        if snap is None or snap[0] != now:
-            pos = {n: self.position(n, now) for n in self.nodes}
-            cells = {}
-            w = self._cell_w
-            for n, (x, y) in pos.items():
-                cells.setdefault((math.floor(x / w), math.floor(y / w)),
-                                 []).append(n)
-            snap = self._snap = (now, pos, cells)
-        return snap
+    def _moved(self, now):
+        # The change leaves positions from `now` on continuous, but a
+        # change before t0 moves the window's own positions.
+        self._changed = max(self._changed, now) if now >= self._t0 else math.inf
+        self._memo = None
 
-    def neighbors(self, node, now=0.0):
+    def _open_window(self, now):
+        pos0 = _Positions(self, now)
+        pos0.update((n, self.position(n, now)) for n in self.nodes)
+        cells = {}
+        w = self._cell_w
+        for n, (x, y) in pos0.items():
+            cells.setdefault((math.floor(x / w), math.floor(y / w)),
+                             []).append(n)
+        self._t0, self._changed = now, -math.inf
+        self._pos0, self._cells, self._cand = pos0, cells, {}
+        self._memo = pos0
+
+    def _candidates(self, node):
+        """Ids within range_m + skin of the node at t0, sorted."""
+        pos0, reach, w = self._pos0, self._reach, self._cell_w
+        here = pos0[node]
+        cx, cy = math.floor(here[0] / w), math.floor(here[1] / w)
+        cells = self._cells
+        cand = [other
+                for i in (cx - 1, cx, cx + 1) for j in (cy - 1, cy, cy + 1)
+                for other in cells.get((i, j), ())
+                if other != node and math.dist(here, pos0[other]) <= reach]
+        cand.sort()
+        return cand
+
+    def _at(self, now):
+        """Positions at `now` under the current movement."""
+        memo = self._memo
+        if memo is None or memo.now != now:
+            memo = self._memo = _Positions(self, now)
+        return memo
+
+    def neighbors(self, node, now):
         if node not in self._kin:
             raise UnknownNodeError(node)
-        _, pos, cells = self._snapshot(now)
-        here = pos[node]
-        w, range_m = self._cell_w, self.range_m
-        cx, cy = math.floor(here[0] / w), math.floor(here[1] / w)
-        out = []
-        for i in (cx - 1, cx, cx + 1):
-            for j in (cy - 1, cy, cy + 1):
-                for other in cells.get((i, j), ()):
-                    if other != node and math.dist(here, pos[other]) <= range_m:
-                        out.append(other)
-        out.sort()
-        return out
+        if not (self._t0 <= now <= self._t0 + self._window_s
+                and now >= self._changed):
+            self._open_window(now)
+        cand = self._cand.get(node)
+        if cand is None:
+            cand = self._cand[node] = self._candidates(node)
+        pos = self._at(now)
+        here, range_m = pos[node], self.range_m
+        return [other for other in cand
+                if math.dist(here, pos[other]) <= range_m]
 
-    def has_link(self, u, v, now=0.0):
+    def has_link(self, u, v, now):
         if u not in self._kin or v not in self._kin:
             raise UnknownNodeError((u, v))
-        snap = self._snap
-        if snap is not None and snap[0] == now:
-            here, there = snap[1][u], snap[1][v]
-        else:
-            here, there = self.position(u, now), self.position(v, now)
-        return math.dist(here, there) <= self.range_m
+        pos = self._at(now)
+        return math.dist(pos[u], pos[v]) <= self.range_m
 
 
-def bfs_hops(topology, origin, now=0.0):
+def bfs_hops(topology, origin, now):
     """Hop distance from origin to every reachable node."""
     dist = {origin: 0}
     frontier = [origin]

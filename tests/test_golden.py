@@ -26,20 +26,35 @@ def _paper30(seed, defense):
         defense=defense, trace=True)
 
 
-def _benign60():
-    side = 1000.0 * math.sqrt(60 / 30)
-    return ScenarioConfig(name="benign60", node_count=60, arena=(side, side),
-                          connections=20, seed=1, trace=True)
+def _benign(n, connections, name="benign", **kw):
+    """A benign arena run at the mobile ladder's density."""
+    side = 1000.0 * math.sqrt(n / 30)
+    return ScenarioConfig(name="%s%d" % (name, n), node_count=n,
+                          arena=(side, side), connections=connections,
+                          seed=1, trace=True, **kw)
 
 
 RUNS = {
     "suite-s0": lambda out: run_suite([0], out, trace=True),
     "paper30-s65-debh": lambda out: run_scenario(_paper30(65, "debh"), out),
     "paper30-s65-none": lambda out: run_scenario(_paper30(65, "none"), out),
-    "benign60-s1": lambda out: run_scenario(_benign60(), out),
+    "benign60-s1": lambda out: run_scenario(_benign(60, 20), out),
+    # Spans many movement windows and grid cells.
+    "benign150-s1": lambda out: run_scenario(_benign(150, 50), out),
+    # Nodes never move, so one window lasts the whole run.
+    "still60-s1": lambda out: run_scenario(
+        _benign(60, 20, name="still", mobility=False), out),
 }
 
 GOLDEN = {
+    "benign150-s1": {
+        "metrics.csv":
+            "22b44f0cccf65422a29a928decd6b8a245529801f568b749f88a2e22745abc7d",
+        "audit.log":
+            "de8ea9b44b556fa8c73105e69724ec6ac6a334a5094cea40d42e434cef9ff0fb",
+        "events.trace":
+            "56de35fbf95e45bc3e002b7611c6abbcd088f5a2b1dcc5252932a5d27c01b787",
+    },
     "benign60-s1": {
         "metrics.csv":
             "51fdb2c7c30083b8964e4762d4ffeec61148f3221f6f96f96436988352dafd3b",
@@ -63,6 +78,14 @@ GOLDEN = {
             "3dcc99f81688aebf899459d16e56056957d4d48e5446478b9e23e5e2d6fd9e85",
         "events.trace":
             "6e9cfc251e7fc219e5b77b33830dbc39eede5544d8804b21b295470fe16cd35d",
+    },
+    "still60-s1": {
+        "metrics.csv":
+            "b7369865eb5a66e9341d56194212daf5482cc39bbef4beac7c460679b004aadb",
+        "audit.log":
+            "009bc8aeca1147bed2a0edb8e71ba9b95345c4275ac43f58b339b0fdaf573d2e",
+        "events.trace":
+            "c5fd827db7bbf6316f90a1ad95c40a4e883b4643b14cc681f75725e471f23558",
     },
     "suite-s0": {
         "metrics.csv":

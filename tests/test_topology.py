@@ -1,5 +1,6 @@
 """Adjacency models: static meshes and the moving-node arena."""
 
+import heapq
 import math
 import random
 
@@ -23,6 +24,16 @@ def _brute_neighbors(topo, node, now):
     return sorted(other for other in topo.nodes if other != node
                   and math.dist(here, topo.position(other, now))
                   <= topo.range_m)
+
+
+def _assert_full_scan(topo, now):
+    """has_link() and then neighbors() agree with the reference at `now`."""
+    truth = {n: _brute_neighbors(topo, n, now) for n in topo.nodes}
+    for node in topo.nodes:
+        assert [v for v in topo.nodes
+                if v != node and topo.has_link(node, v, now)] == truth[node]
+    for node in topo.nodes:
+        assert topo.neighbors(node, now) == truth[node]
 
 
 def _placed(points, range_m):
@@ -90,12 +101,12 @@ def test_static_nodes_never_move():
 
 def test_bfs_hops_on_a_line():
     topo = StaticTopology([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)])
-    assert bfs_hops(topo, 1) == {1: 0, 2: 1, 3: 2, 4: 3}
+    assert bfs_hops(topo, 1, 0.0) == {1: 0, 2: 1, 3: 2, 4: 3}
 
 
 def test_bfs_hops_skips_unreachable_nodes():
     topo = StaticTopology([1, 2, 3], [(1, 2)])
-    assert bfs_hops(topo, 1) == {1: 0, 2: 1}
+    assert bfs_hops(topo, 1, 0.0) == {1: 0, 2: 1}
 
 
 def test_positions_stay_inside_the_arena():
@@ -208,16 +219,56 @@ def test_grid_neighbors_equal_a_full_scan_while_moving(seed, now, range_m):
     # Times before the first leg ends, negative ones included, run legs
     # backward and put nodes off the arena.
     topo = _geo(seed=seed, nodes=range(1, 41), range_m=range_m)
-    for node in topo.nodes:
-        truth = _brute_neighbors(topo, node, now)
-        assert topo.neighbors(node, now) == truth
-        assert [v for v in topo.nodes
-                if v != node and topo.has_link(node, v, now)] == truth
+    _assert_full_scan(topo, now)
+
+
+@given(seed=st.integers(0, 2 ** 16),
+       mobile=st.booleans(),
+       range_m=st.sampled_from([40.0, 90.0]),
+       moves=st.lists(st.one_of(
+           st.floats(0.0, 0.3), st.floats(0.0, 4.0),
+           st.sampled_from(["next", "edge", "past", "back"])), max_size=25))
+def test_neighbors_equal_a_full_scan_along_a_timeline(seed, mobile, range_m,
+                                                       moves):
+    # Time runs forward as in a simulation: step() at each node's
+    # transition times (arrive, pause, new leg), queries in between.
+    # "next" queries at a transition's own instant, "edge" at the end of
+    # the current window and "past" just after it; "back" queries t=0,
+    # as forger choice does in the middle of a run.
+    topo = _geo(seed=seed, mobile=mobile, nodes=range(1, 21),
+                arena=(300.0, 300.0), range_m=range_m, min_speed=10.0,
+                pause_s=1.0)
+    rng = random.Random(seed)
+    due = [(0.0, n) for n in topo.nodes]
+    now = 0.0
+    for move in moves:
+        if move == "back":
+            _assert_full_scan(topo, 0.0)
+            continue
+        edge = topo._t0 + topo._window_s
+        if move == "next":
+            now = max(now, due[0][0]) if due else now
+        elif move in ("edge", "past") and math.isfinite(edge):
+            now = max(now, edge if move == "edge"
+                      else math.nextafter(edge, math.inf))
+        elif isinstance(move, float):
+            now += move
+        # Transitions before `now`, then a query, then those at `now`.
+        for last in (False, True):
+            stepped = False
+            while due and (due[0][0] <= now if last else due[0][0] < now):
+                t, node = heapq.heappop(due)
+                nxt = topo.step(node, t, rng)
+                stepped = True
+                if nxt is not None and nxt > t:
+                    heapq.heappush(due, (nxt, node))
+            if stepped or not last:
+                _assert_full_scan(topo, now)
 
 
 def test_past_time_queries_follow_leg_changes():
-    # Forger choice asks bfs_hops(..., now=0.0) mid-run; after legs change,
-    # positions at t=0 change with them, so the snapshot must not survive.
+    # Forger choice asks bfs_hops(..., 0.0) mid-run; after legs change,
+    # positions at t=0 change with them, so the window must not survive.
     topo = _geo(seed=13)
     rng = random.Random(13)
     before = {n: topo.neighbors(n, 0.0) for n in topo.nodes}
@@ -228,6 +279,20 @@ def test_past_time_queries_follow_leg_changes():
     truth = {n: _brute_neighbors(topo, n, 0.0) for n in topo.nodes}
     assert truth != before
     assert {n: topo.neighbors(n, 0.0) for n in topo.nodes} == truth
+
+
+def test_a_leg_that_began_before_the_window_rebuilds_it():
+    topo = _geo(seed=13)
+    rng = random.Random(13)
+    node = topo.nodes[0]
+    pause_end = topo.step(node, topo._kin[node].arrive_time, rng)
+    late = pause_end + 60.0
+    before = {n: _brute_neighbors(topo, n, late) for n in topo.nodes}
+    _assert_full_scan(topo, late)
+    # Out of time order: the new leg moves the node at `late` too.
+    topo.step(node, pause_end, rng)
+    assert {n: _brute_neighbors(topo, n, late) for n in topo.nodes} != before
+    _assert_full_scan(topo, late)
 
 
 def _count_positions(monkeypatch):
@@ -250,6 +315,30 @@ def test_queries_at_one_instant_read_each_position_once(monkeypatch):
             topo.neighbors(node, 7.5)
             topo.has_link(node, topo.nodes[0], 7.5)
     assert len(calls) <= len(topo.nodes)
+
+
+def test_queries_across_instants_read_only_candidate_positions(monkeypatch):
+    # Within one window, an instant after its first reads each position
+    # once, and only for queried nodes and those within range_m + skin
+    # of one at the window's start.
+    topo = _geo(seed=3, nodes=range(1, 301), arena=(3162.0, 3162.0),
+                range_m=250.0)
+    start, reach = 7.5, 250.0 * 1.25
+    at_start = {n: topo.position(n, start) for n in topo.nodes}
+    rng = random.Random(3)
+    calls = _count_positions(monkeypatch)
+    for i in range(40):
+        now = start + 0.01 * i
+        del calls[:]
+        queried = rng.sample(topo.nodes, 20)
+        for node in queried:
+            topo.neighbors(node, now)
+            topo.has_link(node, queried[0], now)
+        if i:
+            allowed = {n for q in queried for n in topo.nodes
+                       if math.dist(at_start[q], at_start[n]) <= reach}
+            assert len(calls) == len(set(calls))
+            assert set(calls) <= allowed
 
 
 def test_has_link_without_a_snapshot_reads_two_positions(monkeypatch):
