@@ -1,7 +1,5 @@
 """Black hole nodes: forged route replies, silent data drops, cover claims."""
 
-from dataclasses import replace
-
 from . import packets as pk
 from .aodv import Node
 from .debh import TrustState
@@ -109,7 +107,7 @@ class AdversaryNode(Node):
         self.seen_floods[key] = rreq.excluded
         if self.group.designated_forger(rreq.origin, rreq.destination) == self.node_id:
             self.forge_rrep(rreq, sender)
-        self.sim.broadcast(self.node_id, replace(rreq, hop_count=rreq.hop_count + 1))
+        self.sim.broadcast(self.node_id, rreq.hopped(rreq.hop_count + 1))
 
     def forge_rrep(self, rreq, sender):
         cover = self.group.cover[self.node_id]

@@ -1,6 +1,6 @@
 """Honest node behavior: route discovery, data forwarding, path checking."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import packets as pk
 from .debh import BchTable, CheckSession, TrustState, adjudicate, is_malicious, \
@@ -235,7 +235,7 @@ class Node:
                                entry.next_hop, self.bch.get(entry.next_hop))
                 self.sim.unicast(self.node_id, sender, rrep)
                 return
-        self.sim.broadcast(self.node_id, replace(rreq, hop_count=rreq.hop_count + 1))
+        self.sim.broadcast(self.node_id, rreq.hopped(rreq.hop_count + 1))
 
     def handle_rrep(self, rrep, sender):
         if sender in self.banned or rrep.generator in self.banned:
@@ -252,7 +252,7 @@ class Node:
             if rrep.generator in pend.excluded or sender in pend.excluded:
                 return
             pend.candidates.append(
-                (replace(rrep, hop_count=rrep.hop_count + 1), sender))
+                (rrep.hopped(rrep.hop_count + 1), sender))
             if len(pend.candidates) == 1:
                 if pend.timeout_handle is not None:
                     pend.timeout_handle.cancel()
@@ -271,7 +271,7 @@ class Node:
         back = self.fresh_route(rrep.origin)
         if back is not None:
             self.sim.unicast(self.node_id, back.next_hop,
-                             replace(rrep, hop_count=effective_hop))
+                             rrep.hopped(effective_hop))
 
     # ---- data plane ----
 
@@ -603,8 +603,7 @@ class Node:
             return
         self.seen_alarms.add(key)
         self._apply_alarm(alarm)
-        self.sim.broadcast(self.node_id,
-                           replace(alarm, hop_count=alarm.hop_count + 1))
+        self.sim.broadcast(self.node_id, alarm.hopped(alarm.hop_count + 1))
 
     def _apply_alarm(self, alarm):
         for m in alarm.malicious:

@@ -59,7 +59,10 @@ def _cmd_run(args):
     sim = run_scenario(cfg, args.out)
     _print_timing(started, sim.engine.processed)
     _print_run(sim)
-    if args.out:
+    if args.out and cfg.trace:
+        print("wrote %s/metrics.csv, %s/audit.log and %s/events.trace"
+              % (args.out, args.out, args.out))
+    elif args.out:
         print("wrote %s/metrics.csv and %s/audit.log" % (args.out, args.out))
     return 0
 

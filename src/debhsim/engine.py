@@ -57,14 +57,15 @@ class Simulator:
         if t_end < self.now:
             raise SchedulingError(
                 "cannot run backward to %.4f from %.4f" % (t_end, self.now))
+        queue, pop, trace = self._queue, heapq.heappop, self.trace
         count = 0
-        while self._queue and self._queue[0][0] <= t_end:
-            fire_time, _, action, handle, node, kind, detail = heapq.heappop(self._queue)
+        while queue and queue[0][0] <= t_end:
+            fire_time, _, action, handle, node, kind, detail = pop(queue)
             if handle.cancelled:
                 continue
             self.now = fire_time
-            if kind:
-                self.log(node, kind, detail)
+            if trace is not None and kind:
+                trace.append("%.4f,%s,%s,%s" % (fire_time, node, kind, detail))
             action()
             count += 1
         self.now = t_end

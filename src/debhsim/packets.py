@@ -3,8 +3,19 @@
 from dataclasses import dataclass
 
 
+class _Hops:
+    """Packets relayed hop by hop carry a hop_count."""
+
+    def hopped(self, hop_count):
+        """Shallow copy with a new hop_count, as dataclasses.replace makes."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        new.hop_count = hop_count
+        return new
+
+
 @dataclass
-class Rreq:
+class Rreq(_Hops):
     """Route request, flooded during discovery."""
 
     origin: int
@@ -19,7 +30,7 @@ class Rreq:
 
 
 @dataclass
-class Rrep:
+class Rrep(_Hops):
     """Route reply, unicast back along the reverse path.
 
     generator is the node that produced the reply.  generator_nhn and
@@ -152,7 +163,7 @@ class BchReply:
 
 
 @dataclass
-class Alarm:
+class Alarm(_Hops):
     """Network-wide elimination broadcast naming confirmed black holes."""
 
     origin: int

@@ -146,25 +146,33 @@ class Simulation:
         return self.topology.has_link(u, v, self.engine.now)
 
     def unicast(self, sender, to, pkt, force=False):
-        if not force and not self.topology.has_link(sender, to, self.engine.now):
+        engine = self.engine
+        if not force and not self.topology.has_link(sender, to, engine.now):
             return False
-        name = type(pkt).__name__.lower()
-        self.engine.log(sender, "send_" + name, "to=%s" % to)
-        self.engine.schedule_in(self.cfg.hop_latency,
-                                lambda: self.nodes[to].receive(pkt, sender),
-                                node=to, kind="recv_" + name,
-                                detail="from=%s" % sender)
+        kind = detail = ""
+        if engine.trace is not None:
+            name = type(pkt).__name__.lower()
+            engine.log(sender, "send_" + name, "to=%s" % to)
+            kind, detail = "recv_" + name, "from=%s" % sender
+        engine.schedule(engine.now + self.cfg.hop_latency,
+                        lambda: self.nodes[to].receive(pkt, sender),
+                        to, kind, detail)
         return True
 
     def broadcast(self, sender, pkt):
-        name = type(pkt).__name__.lower()
-        neighbors = self.topology.neighbors(sender, self.engine.now)
-        self.engine.log(sender, "send_" + name, "fanout=%d" % len(neighbors))
+        engine = self.engine
+        neighbors = self.topology.neighbors(sender, engine.now)
+        kind = detail = ""
+        if engine.trace is not None:
+            name = type(pkt).__name__.lower()
+            engine.log(sender, "send_" + name, "fanout=%d" % len(neighbors))
+            kind, detail = "recv_" + name, "from=%s" % sender
+        # One fire time: sequence numbers keep the sorted neighbour order.
+        fire_time = engine.now + self.cfg.hop_latency
+        schedule, nodes = engine.schedule, self.nodes
         for nb in neighbors:
-            self.engine.schedule_in(self.cfg.hop_latency,
-                                    lambda n=nb: self.nodes[n].receive(pkt, sender),
-                                    node=nb, kind="recv_" + name,
-                                    detail="from=%s" % sender)
+            schedule(fire_time, lambda n=nb: nodes[n].receive(pkt, sender),
+                     nb, kind, detail)
         return len(neighbors)
 
     # ---- check session bookkeeping ----

@@ -49,11 +49,25 @@ def test_run_executes_a_config_and_writes_outputs(tmp_path, capsys):
     code = main(["run", "--config", _config(tmp_path, SINGLE_INI),
                  "--seed", "7", "--out", str(out)])
     assert code == 0
-    assert (out / "metrics.csv").exists()
-    assert (out / "audit.log").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["audit.log",
+                                                     "metrics.csv"]
     shown = capsys.readouterr().out
     assert "detected=3" in shown
     assert "planted=3" in shown
+    assert "wrote %s/metrics.csv and %s/audit.log\n" % (out, out) in shown
+
+
+def test_run_with_trace_names_every_file_it_writes(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--config", _config(tmp_path, SINGLE_INI),
+                 "--seed", "7", "--out", str(out), "--trace"])
+    assert code == 0
+    written = sorted(p.name for p in out.iterdir())
+    assert written == ["audit.log", "events.trace", "metrics.csv"]
+    assert (out / "events.trace").read_text().startswith("0.0")
+    shown = capsys.readouterr().out
+    assert ("wrote %s/metrics.csv, %s/audit.log and %s/events.trace\n"
+            % (out, out, out)) in shown
 
 
 TIMING = re.compile(r"wall=\d+\.\d{3}s events=[1-9]\d* events/s=\d+\n")

@@ -1,9 +1,13 @@
 """The assembled run: radio facade, audit stream, flows end to end."""
 
+import sys
+
 from debhsim import packets as pk
 from debhsim.debh import AUDIT_HEADER
 from debhsim.scenario import (ScenarioConfig, build_simulation, run_scenario,
-                              single_scenario, trust_decay_scenario)
+                              single_scenario, trust_decay_scenario,
+                              write_outputs)
+from test_golden import GOLDEN, _benign, _digests
 
 
 def _sim(edges, flows=(), trace=False, **kw):
@@ -43,6 +47,50 @@ def test_broadcast_reaches_every_neighbor():
     sim.engine.run_until(1.0)
     assert count == 3
     assert heard == [2, 3, 4]
+
+
+def _recorded_benign60(trace):
+    """The benign60-s1 golden run, with the engine's schedule and log
+    wrapped on the instance.  Returns the finished simulation, the
+    (kind, detail) of every scheduled event and the caller of every log."""
+    cfg = _benign(60, 20)
+    cfg.trace = trace
+    sim = build_simulation(cfg)
+    engine = sim.engine
+    scheduled, logged = [], []
+    schedule, log = engine.schedule, engine.log
+
+    def recording_schedule(fire_time, action, node=None, kind="", detail=""):
+        scheduled.append((kind, detail))
+        return schedule(fire_time, action, node, kind, detail)
+
+    def recording_log(node, kind, detail=""):
+        logged.append(sys._getframe(1).f_code.co_name)
+        return log(node, kind, detail)
+
+    engine.schedule, engine.log = recording_schedule, recording_log
+    sim.run()
+    return sim, scheduled, logged
+
+
+def test_untraced_sends_build_no_trace_strings():
+    sim, scheduled, logged = _recorded_benign60(trace=False)
+    assert len(scheduled) > 5000 and sim.metrics.total_delivered() > 0
+    # Movement steps pass the constant "move"; no send formats anything.
+    assert {kind for kind, _ in scheduled} <= {"", "move"}
+    assert {detail for _, detail in scheduled} == {""}
+    assert logged == []
+    assert sim.engine.trace is None
+
+
+def test_traced_sends_log_and_keep_the_golden_outputs(tmp_path):
+    sim, scheduled, logged = _recorded_benign60(trace=True)
+    kinds = {kind for kind, _ in scheduled}
+    assert {"recv_rreq", "recv_rrep", "recv_data", "move"} <= kinds
+    assert {"broadcast", "unicast"} <= set(logged)
+    assert sim.engine.trace
+    write_outputs(sim, str(tmp_path))
+    assert _digests(tmp_path) == GOLDEN["benign60-s1"]
 
 
 def test_session_ids_are_unique_and_ordered():
