@@ -1,7 +1,7 @@
 """Discrete-event simulator of black hole attacks on an AODV network
 and the debh hop-by-hop detection and elimination defense."""
 
-from .metrics import RunMetrics, aggregate
+from .metrics import RunMetrics
 from .replay import replay
 from .scenario import ScenarioConfig, build_suite, load_config, run_scenario, \
     run_suite
@@ -10,7 +10,7 @@ from .simulation import Simulation
 __version__ = "0.1.0"
 
 __all__ = [
-    "RunMetrics", "ScenarioConfig", "Simulation", "aggregate",
-    "build_suite", "load_config", "replay", "run_scenario", "run_suite",
+    "RunMetrics", "ScenarioConfig", "Simulation", "build_suite",
+    "load_config", "replay", "run_scenario", "run_suite",
     "__version__",
 ]

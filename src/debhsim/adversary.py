@@ -95,11 +95,7 @@ class AdversaryNode(Node):
         if self.node_id == rreq.destination:
             # Answer every copy so a reply survives on whatever branch
             # the requester still accepts.
-            self.seq = max(self.seq, rreq.dest_seq_known) + 1
-            rrep = pk.Rrep(rreq.origin, self.node_id, rreq.broadcast_id,
-                           self.seq, 0, self.node_id, self.node_id,
-                           TrustState.TRUSTED)
-            self.sim.unicast(self.node_id, sender, rrep)
+            self._answer_as_destination(rreq, sender)
             return
         key = (rreq.origin, rreq.broadcast_id)
         if key in self.seen_floods:

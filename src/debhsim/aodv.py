@@ -66,8 +66,6 @@ class Node:
         self.pending = {}             # destination -> _Pending
         self.probe_timers = {}        # nonce -> (handle, nhn, target, path)
         self.pending_nhn = {}         # nonce -> (suspect, target, path, handle)
-        self.verify_timers = {}       # nonce -> handle
-        self.watchdogs = {}           # nonce -> handle
 
     # ---- routing table ----
 
@@ -221,11 +219,7 @@ class Node:
         self._maybe_install(rreq.origin, sender, rreq.hop_count + 1,
                             rreq.origin_seq, rreq.origin)
         if self.node_id == rreq.destination:
-            self.seq = max(self.seq, rreq.dest_seq_known) + 1
-            rrep = pk.Rrep(rreq.origin, self.node_id, rreq.broadcast_id,
-                           self.seq, 0, self.node_id, self.node_id,
-                           TrustState.TRUSTED)
-            self.sim.unicast(self.node_id, sender, rrep)
+            self._answer_as_destination(rreq, sender)
             return
         if self.sim.cfg.cache_reply:
             entry = self.fresh_route(rreq.destination)
@@ -236,6 +230,15 @@ class Node:
                 self.sim.unicast(self.node_id, sender, rrep)
                 return
         self.sim.broadcast(self.node_id, rreq.hopped(rreq.hop_count + 1))
+
+    def _answer_as_destination(self, rreq, sender):
+        """Reply as the destination with a sequence number fresher than
+        any the requester knows."""
+        self.seq = max(self.seq, rreq.dest_seq_known) + 1
+        rrep = pk.Rrep(rreq.origin, self.node_id, rreq.broadcast_id,
+                       self.seq, 0, self.node_id, self.node_id,
+                       TrustState.TRUSTED)
+        self.sim.unicast(self.node_id, sender, rrep)
 
     def handle_rrep(self, rrep, sender):
         if sender in self.banned or rrep.generator in self.banned:
@@ -294,12 +297,10 @@ class Node:
     # ---- path checking: source side ----
 
     def start_check(self, destination, rrep, t0, on_done):
-        session = CheckSession(self.node_id, destination,
-                               self.sim.new_session_id(), t0)
-        session.on_done = on_done
-        session.current_target = destination
-        self.sim.sessions_all.append(session)
-        session.state = "checking"
+        sessions = self.sim.sessions_all
+        session = CheckSession(self.node_id, destination, len(sessions) + 1,
+                               t0, current_target=destination, on_done=on_done)
+        sessions.append(session)
         self.sim.audit(session, "session", str(destination))
         self._start_path(session, rrep)
         return session
@@ -307,7 +308,7 @@ class Node:
     def _start_path(self, session, rrep):
         session.take_route(rrep)
         session.nonce = self.sim.rng.getrandbits(64)
-        self.sim.register_nonce(session)
+        self.sim.sessions[session.nonce] = session
         self.sim.audit(session, "route", str(rrep.generator))
         self._restart_path(session)
 
@@ -319,10 +320,9 @@ class Node:
                              session.current_target)
 
     def _arm_watchdog(self, session):
-        old = self.watchdogs.pop(session.session_id, None)
-        if old is not None:
-            old.cancel()
-        self.watchdogs[session.session_id] = self.sim.schedule_in(
+        if session.watchdog is not None:
+            session.watchdog.cancel()
+        session.watchdog = self.sim.schedule_in(
             self.sim.cfg.session_timeout,
             lambda: self._finish_session(session, aborted=True))
 
@@ -342,14 +342,18 @@ class Node:
         else:
             probe = pk.DataControl(self.node_id, nhn, nonce, source, target,
                                    path_number)
-        self.sim.audit_by_nonce(nonce, "probe", "%s>%s" % (self.node_id, nhn))
+        # A hand-made probe may carry a nonce that names no session.
+        session = self.sim.sessions.get(nonce)
+        if session is not None:
+            self.sim.audit(session, "probe", "%s>%s" % (self.node_id, nhn))
         if not self.sim.unicast(self.node_id, nhn, probe):
             entry.fresh = False
             self._deliver(pk.NoRouteReport(
                 self.node_id, target, source, path_number, nonce), source)
             return
         if not trusted:
-            self.sim.note_dcp(nonce)
+            if session is not None:
+                session.dcp_count += 1
             handle = self.sim.schedule_in(
                 self.sim.cfg.reply_timeout,
                 lambda: self._probe_timeout(source, path_number, nonce, target, nhn))
@@ -373,15 +377,16 @@ class Node:
                              pkt.target)
 
     def handle_probe_reply(self, pkt, sender):
-        rec = self.probe_timers.pop(pkt.random_number, None)
+        rec = self.probe_timers.get(pkt.random_number)
         if rec is not None:
-            handle, nhn, target, path = rec
+            handle, nhn, _, _ = rec
             if sender == nhn:
+                del self.probe_timers[pkt.random_number]
                 handle.cancel()
                 self.bch.set_trusted(nhn)
-                self.sim.note_verified(pkt.random_number, nhn)
-                return
-            self.probe_timers[pkt.random_number] = rec
+                session = self.sim.sessions.get(pkt.random_number)
+                if session is not None:
+                    session.verified.add(nhn)
             return
         # Reply that matches no outstanding nonce: if it came from a hop
         # we are currently probing under this source and path, the echo
@@ -425,13 +430,11 @@ class Node:
         self.sim.unicast(self.node_id, sender, reply, force=True)
 
     def handle_nhn_reply(self, pkt, sender):
-        rec = self.pending_nhn.pop(pkt.random_number, None)
-        if rec is None:
+        rec = self.pending_nhn.get(pkt.random_number)
+        if rec is None or sender != rec[0]:
             return
+        del self.pending_nhn[pkt.random_number]
         nhn, target, source, path_number, handle = rec
-        if sender != nhn:
-            self.pending_nhn[pkt.random_number] = rec
-            return
         handle.cancel()
         self._send_suspect_report(source, path_number, pkt.random_number,
                                   nhn, pkt.nhn, pkt.trust_for_nhn)
@@ -445,7 +448,7 @@ class Node:
     # ---- path checking: source reactions ----
 
     def _session_for(self, pkt):
-        session = self.sim.session_by_nonce(pkt.random_number)
+        session = self.sim.sessions.get(pkt.random_number)
         if session is None or session.state != "checking":
             return None
         if session.nonce != pkt.random_number:
@@ -456,9 +459,8 @@ class Node:
 
     def handle_suspect_report(self, pkt, sender):
         session = self._session_for(pkt)
-        if session is None or session.path_number in session.resolved_paths:
+        if session is None:
             return
-        session.resolved_paths.add(session.path_number)
         session.verified.add(pkt.reporter)
         session.add_suspect(pkt.suspect)
         session.claims[pkt.suspect] = (pkt.claimed_nhn, pkt.claimed_trust)
@@ -467,15 +469,7 @@ class Node:
         session.path_number += 1
         session.current_target = target
         self.sim.audit(session, "reroute", str(target))
-        self._arm_watchdog(session)
-        self.discover(target, tuple(session.blackhole_queue),
-                      lambda rrep, t0, s=session: self._on_reroute(s, rrep),
-                      lambda dest, s=session: self._finish_session(s, aborted=True))
-
-    def _on_reroute(self, session, rrep):
-        if session.state != "checking":
-            return
-        self._start_path(session, rrep)
+        self._rediscover(session, self._start_path)
 
     def handle_no_route_report(self, pkt, sender):
         if pkt.path_number == 0:
@@ -489,17 +483,23 @@ class Node:
         if session is None:
             return
         self.sim.audit(session, "no_route", str(pkt.unreachable))
-        self._arm_watchdog(session)
-        self.discover(session.current_target, tuple(session.blackhole_queue),
-                      lambda rrep, t0, s=session: self._on_subpath_route(s, rrep),
-                      lambda dest, s=session: self._finish_session(s, aborted=True))
+        self._rediscover(session, self._heal_path)
 
-    def _on_subpath_route(self, session, rrep):
+    def _heal_path(self, session, rrep):
         """A broken link was healed by rediscovery; same path number."""
-        if session.state != "checking":
-            return
         session.take_route(rrep)
         self._restart_path(session)
+
+    def _rediscover(self, session, on_route):
+        """Find the current target around every suspect, then hand the
+        route to on_route(session, rrep); finding none aborts the check."""
+        self._arm_watchdog(session)
+
+        def routed(rrep, t0):
+            if session.state == "checking":
+                on_route(session, rrep)
+        self.discover(session.current_target, tuple(session.blackhole_queue),
+                      routed, lambda dest: self._finish_session(session, aborted=True))
 
     def handle_ack(self, pkt, sender):
         session = self._session_for(pkt)
@@ -524,13 +524,11 @@ class Node:
             session.add_suspect(target)
             self._finish_session(session)
             return
-        self.verify_timers[session.nonce] = self.sim.schedule_in(
+        session.verify_timer = self.sim.schedule_in(
             self.sim.cfg.query_timeout,
             lambda: self._verify_timeout(session, target))
 
     def _verify_timeout(self, session, target):
-        if self.verify_timers.pop(session.nonce, None) is None:
-            return
         session.add_suspect(target)
         self._finish_session(session)
 
@@ -541,12 +539,10 @@ class Node:
         self._forward_control(reply, pkt.asker)
 
     def handle_bch_reply(self, pkt, sender):
-        session = self.sim.session_by_nonce(pkt.random_number)
+        session = self.sim.sessions.get(pkt.random_number)
         if session is None or session.state != "verifying":
             return
-        handle = self.verify_timers.pop(session.nonce, None)
-        if handle is not None:
-            handle.cancel()
+        session.verify_timer.cancel()
         target = pkt.node_id
         for claimant in sorted(session.claims):
             claimed_nhn, claimed_trust = session.claims[claimant]
@@ -561,14 +557,11 @@ class Node:
         if session.state == "done":
             return
         session.state = "done"
-        handle = self.watchdogs.pop(session.session_id, None)
-        if handle is not None:
-            handle.cancel()
+        session.watchdog.cancel()
         if aborted and not session.blackhole_queue:
             session.verdict = []
             self.sim.audit(session, "abort", "-")
-            if session.on_done:
-                session.on_done(False, [])
+            session.on_done(False)
             return
         condemned, safe = adjudicate(
             session.rrep_generator_queue, session.claim_of,
@@ -584,8 +577,7 @@ class Node:
             self.sim.audit(session, "malicious", ";".join(str(c) for c in condemned))
             self.sim.metrics.record_detection(condemned)
             self._broadcast_alarm(condemned)
-        if session.on_done:
-            session.on_done(safe is not None, condemned)
+        session.on_done(safe is not None)
 
     def _broadcast_alarm(self, malicious):
         self.next_alarm_id += 1

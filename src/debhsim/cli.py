@@ -4,7 +4,6 @@ import argparse
 import sys
 import time
 
-from .metrics import aggregate
 from .replay import FIXTURES, replay
 from .scenario import ConfigError, load_config, run_scenario, run_suite
 
@@ -35,7 +34,8 @@ def _print_run(sim):
     print("  detected=%s planted=%s" % (detected, planted))
     print("  sent=%d delivered=%d rreq=%d probes=%d"
           % (m.total_sent(), m.total_delivered(),
-             sum(m.rreq_count_by_source.values()), m.data_control_sent))
+             sum(m.rreq_count_by_source.values()),
+             sum(s.dcp_count for s in sim.sessions_all)))
     for (src, dst), delay in sorted(m.secure_path_delay_s.items()):
         print("  secure_path %d->%d delay=%.4fs" % (src, dst, delay))
 
@@ -82,10 +82,9 @@ def _cmd_suite(args):
         print("  %-12s planted=%d detected(min=%d max=%d) exact=%s"
               % (entry["scenario"], len(entry["planted"]),
                  min(counts), max(counts), entry["exact"]))
-    stats = aggregate([sim.metrics for sim in sims.values()])
+    delivered = [sim.metrics.total_delivered() for sim in sims.values()]
     print("  delivered mean=%.1f min=%d max=%d"
-          % (stats["delivered"]["mean"], stats["delivered"]["min"],
-             stats["delivered"]["max"]))
+          % (sum(delivered) / len(delivered), min(delivered), max(delivered)))
     if args.out:
         print("wrote %s/suite.csv" % args.out)
     return 0

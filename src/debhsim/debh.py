@@ -61,7 +61,7 @@ class BchTable:
 
 @dataclass
 class CheckSession:
-    """Source-side state of one path security check."""
+    """Source-side state of one path security check, timers included."""
 
     source: int
     final_destination: int
@@ -77,11 +77,12 @@ class CheckSession:
     claims: dict = field(default_factory=dict)
     verified: set = field(default_factory=set)
     acked: set = field(default_factory=set)
-    resolved_paths: set = field(default_factory=set)
     dcp_count: int = 0
-    state: str = "await_route"
+    state: str = "checking"
     verdict: list = None
-    on_done: object = None
+    on_done: object = None        # called with True when a path is safe
+    watchdog: object = None       # handle of the session timeout
+    verify_timer: object = None   # handle of the BCh query timeout
 
     def add_suspect(self, node):
         if node not in self.blackhole_queue:

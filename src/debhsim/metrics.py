@@ -1,4 +1,4 @@
-"""Per-run counters and cross-run aggregation."""
+"""Per-run counters and their CSV rows."""
 
 CSV_HEADER = "scenario,seed,source,rreq_count,delay_s,detected,planted,sent,delivered"
 
@@ -23,7 +23,6 @@ class RunMetrics:
         self.detected_malicious = set()
         self.sent_by_source = {}
         self.delivered_by_source = {}
-        self.data_control_sent = 0
         self.forged_rreps = 0
         self.malicious_drops = 0
         self._marked_sessions = set()
@@ -45,9 +44,6 @@ class RunMetrics:
 
     def record_malicious_drop(self):
         self.malicious_drops += 1
-
-    def record_dcp(self):
-        self.data_control_sent += 1
 
     def mark_secure_path(self, source, destination, t_request, t_secure, session_id):
         # One verdict per check; a second mark means the bookkeeping broke.
@@ -103,30 +99,3 @@ class RunMetrics:
             fh.write(CSV_HEADER + "\n")
             for row in self.csv_rows(scenario, seed, planted):
                 fh.write(",".join(row) + "\n")
-
-
-def aggregate(runs):
-    """Mean, min, and max per headline metric over several runs."""
-    if not runs:
-        raise MetricsError("no runs to aggregate")
-
-    def stats(values):
-        return {"mean": sum(values) / len(values),
-                "min": min(values),
-                "max": max(values)}
-
-    out = {
-        "runs": len(runs),
-        "detected_count": stats([len(m.detected_malicious) for m in runs]),
-        "rreq_total": stats([sum(m.rreq_count_by_source.values()) for m in runs]),
-        "sent": stats([m.total_sent() for m in runs]),
-        "delivered": stats([m.total_delivered() for m in runs]),
-        "data_control_sent": stats([m.data_control_sent for m in runs]),
-    }
-    delays = [d for m in runs for d in m.secure_path_delay_s.values()]
-    if delays:
-        out["secure_path_delay_s"] = stats(delays)
-    ratios = [m.delivery_ratio() for m in runs if m.delivery_ratio() is not None]
-    if ratios:
-        out["delivery_ratio"] = stats(ratios)
-    return out

@@ -43,7 +43,7 @@ class Flow:
         else:
             self._begin_sending()
 
-    def _on_check(self, safe, condemned):
+    def _on_check(self, safe):
         if safe:
             self._begin_sending()
         else:
@@ -85,8 +85,7 @@ class Simulation:
         self.metrics = RunMetrics()
         self.audit_lines = []
         self.sessions_all = []
-        self._nonce_sessions = {}
-        self._next_session = 0
+        self.sessions = {}            # nonce -> CheckSession
 
         node_ids = cfg.node_ids()
         if cfg.edges is not None:
@@ -177,27 +176,6 @@ class Simulation:
 
     # ---- check session bookkeeping ----
 
-    def new_session_id(self):
-        self._next_session += 1
-        return self._next_session
-
-    def register_nonce(self, session):
-        self._nonce_sessions[session.nonce] = session
-
-    def session_by_nonce(self, nonce):
-        return self._nonce_sessions.get(nonce)
-
-    def note_dcp(self, nonce):
-        session = self._nonce_sessions.get(nonce)
-        if session is not None:
-            session.dcp_count += 1
-        self.metrics.record_dcp()
-
-    def note_verified(self, nonce, node):
-        session = self._nonce_sessions.get(nonce)
-        if session is not None:
-            session.verified.add(node)
-
     def bch_entry(self, holder, subject):
         return self.nodes[holder].bch.get(subject)
 
@@ -205,11 +183,6 @@ class Simulation:
         self.audit_lines.append(format_audit_row(
             self.engine.now, session.source, session.path_number, event,
             subject, session.blackhole_queue, session.rrep_generator_queue))
-
-    def audit_by_nonce(self, nonce, event, subject):
-        session = self._nonce_sessions.get(nonce)
-        if session is not None:
-            self.audit(session, event, subject)
 
     # ---- traffic bookkeeping ----
 

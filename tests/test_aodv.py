@@ -248,3 +248,19 @@ def test_alarm_floods_once_per_id():
     sends = [line for line in sim.engine.trace
              if line.split(",")[1] == "1" and ",send_alarm," in line]
     assert len(sends) == 1
+
+
+def test_a_repeated_suspect_report_for_a_resolved_path_is_ignored():
+    sim = _sim([(1, 2), (2, 3), (3, 4)], defense="debh")
+    rrep = _discover(sim, 1, 4)["rrep"]
+    node = sim.nodes[1]
+    session = node.start_check(4, rrep, sim.now, lambda safe: None)
+    floods = sim.metrics.rreq_count_by_source[1]
+    report = pk.SuspectReport(1, 2, 1, session.path_number, session.nonce,
+                              3, TrustState.TRUSTED)
+    node.receive(report, 1)
+    node.receive(report, 1)
+    events = [line.split(",")[3] for line in sim.audit_lines]
+    assert events.count("reroute") == 1
+    assert session.path_number == 2
+    assert sim.metrics.rreq_count_by_source[1] == floods + 1

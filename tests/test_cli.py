@@ -149,3 +149,10 @@ def test_suite_runs_and_writes_the_combined_csv(tmp_path, capsys):
     assert "7 scenarios x 2 seeds" in shown.out
     assert "exact=True" in shown.out
     assert TIMING.fullmatch(shown.err)
+
+
+def test_suite_prints_the_delivered_summary_line(tmp_path, capsys):
+    code = main(["suite", "--seeds", "0..2", "--out", str(tmp_path)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  delivered mean=40.0 min=10 max=90" in lines

@@ -36,6 +36,8 @@ def _benign(n, connections, name="benign", **kw):
 
 RUNS = {
     "suite-s0": lambda out: run_suite([0], out, trace=True),
+    # Re-routes around suspects and link-break healing in one run.
+    "paper30-s0-debh": lambda out: run_scenario(_paper30(0, "debh"), out),
     "paper30-s65-debh": lambda out: run_scenario(_paper30(65, "debh"), out),
     "paper30-s65-none": lambda out: run_scenario(_paper30(65, "none"), out),
     "benign60-s1": lambda out: run_scenario(_benign(60, 20), out),
@@ -62,6 +64,14 @@ GOLDEN = {
             "aa42a440a57d0a37a25015279c109d9d8970a7b465b403292c09f3181d1f4d77",
         "events.trace":
             "4c581690a578547a88b97fffde38a1f081c39a39a022ca60bbee86c0ef4f558c",
+    },
+    "paper30-s0-debh": {
+        "metrics.csv":
+            "cfc1b656c0ce3532de88e346186dcdb4b47d0d1f591b8463c08547fb36195d77",
+        "audit.log":
+            "553097b15b59fee34d37268f95a1e6fbf6d80b48a7c6e34864dc28ae6149b007",
+        "events.trace":
+            "57c87ae0f71395f127789505cb5da54d19ed7aa5b64f326d04a1a158ba23960e",
     },
     "paper30-s65-debh": {
         "metrics.csv":

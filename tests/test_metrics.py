@@ -1,8 +1,8 @@
-"""Run counters, CSV shaping, and cross-run aggregation."""
+"""Run counters and CSV shaping."""
 
 import pytest
 
-from debhsim.metrics import CSV_HEADER, MetricsError, RunMetrics, aggregate
+from debhsim.metrics import CSV_HEADER, MetricsError, RunMetrics
 
 
 def _filled():
@@ -75,27 +75,3 @@ def test_csv_file_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
-
-
-def test_aggregate_reports_mean_min_max():
-    runs = []
-    for delay, detected in ((1.0, [3]), (3.0, [3, 5])):
-        m = RunMetrics()
-        m.record_rreq(1)
-        m.record_sent(1)
-        m.record_delivery(1)
-        m.record_detection(detected)
-        m.mark_secure_path(1, 4, 0.0, delay, session_id=len(runs) + 1)
-        runs.append(m)
-    stats = aggregate(runs)
-    assert stats["runs"] == 2
-    assert stats["detected_count"] == {"mean": 1.5, "min": 1, "max": 2}
-    assert stats["secure_path_delay_s"]["mean"] == pytest.approx(2.0)
-    assert stats["secure_path_delay_s"]["min"] == pytest.approx(1.0)
-    assert stats["secure_path_delay_s"]["max"] == pytest.approx(3.0)
-    assert stats["delivery_ratio"]["mean"] == pytest.approx(1.0)
-
-
-def test_aggregate_rejects_an_empty_run_list():
-    with pytest.raises(MetricsError):
-        aggregate([])

@@ -7,7 +7,7 @@ from debhsim.debh import AUDIT_HEADER
 from debhsim.scenario import (ScenarioConfig, build_simulation, run_scenario,
                               single_scenario, trust_decay_scenario,
                               write_outputs)
-from test_golden import GOLDEN, _benign, _digests
+from test_golden import GOLDEN, _benign, _digests, _paper30
 
 
 def _sim(edges, flows=(), trace=False, **kw):
@@ -94,8 +94,12 @@ def test_traced_sends_log_and_keep_the_golden_outputs(tmp_path):
 
 
 def test_session_ids_are_unique_and_ordered():
-    sim = _sim([(1, 2)])
-    assert [sim.new_session_id() for _ in range(3)] == [1, 2, 3]
+    sim = run_scenario(_paper30(0, "debh"))
+    ids = [s.session_id for s in sim.sessions_all]
+    assert len(ids) > 3
+    assert ids == list(range(1, len(ids) + 1))
+    # Every session is found under the nonce of the path it checked last.
+    assert all(sim.sessions[s.nonce] is s for s in sim.sessions_all)
 
 
 def test_audit_lines_match_the_header_shape():
