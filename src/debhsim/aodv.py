@@ -6,6 +6,9 @@ from . import packets as pk
 from .debh import BchTable, CheckSession, TrustState, adjudicate, is_malicious, \
     resolve_next_target
 
+# Floods a discovery repeats after its first before it fails (RFC 3561).
+RREQ_RETRIES = 2
+
 
 @dataclass
 class RoutingEntry:
@@ -34,14 +37,13 @@ class _Pending:
     __slots__ = ("destination", "broadcast_id", "excluded", "candidates",
                  "timeout_handle", "retries_left", "on_route", "on_fail", "t0")
 
-    def __init__(self, destination, broadcast_id, excluded, retries_left,
-                 on_route, on_fail, t0):
+    def __init__(self, destination, excluded, on_route, on_fail, t0):
         self.destination = destination
-        self.broadcast_id = broadcast_id
+        self.broadcast_id = 0         # set by each flood
         self.excluded = excluded
         self.candidates = []          # (adjusted Rrep, sender)
         self.timeout_handle = None
-        self.retries_left = retries_left
+        self.retries_left = RREQ_RETRIES
         self.on_route = on_route
         self.on_fail = on_fail
         self.t0 = t0
@@ -64,8 +66,8 @@ class Node:
         self.banned = set()
         self.bch = BchTable()
         self.pending = {}             # destination -> _Pending
-        self.probe_timers = {}        # nonce -> (handle, nhn, target, path)
-        self.pending_nhn = {}         # nonce -> (suspect, target, path, handle)
+        self.probe_timers = {}        # nonce -> (probe, reply timer)
+        self.pending_nhn = {}         # nonce -> (probe, next-hop query timer)
 
     # ---- routing table ----
 
@@ -113,7 +115,7 @@ class Node:
             return
         self.discover(destination, excluded, on_route, on_fail)
 
-    def discover(self, destination, excluded, on_route, on_fail, retries=2):
+    def discover(self, destination, excluded, on_route, on_fail):
         if destination == self.node_id:
             raise ValueError("node %s cannot discover itself" % self.node_id)
         if destination in self.pending:
@@ -122,12 +124,11 @@ class Node:
             old = self.pending[destination]
             old.on_route = on_route
             old.on_fail = on_fail
-            return old.broadcast_id
-        pend = _Pending(destination, 0, tuple(excluded), retries,
-                        on_route, on_fail, self.sim.now)
+            return
+        pend = _Pending(destination, tuple(excluded), on_route, on_fail,
+                        self.sim.now)
         self.pending[destination] = pend
         self._flood(pend)
-        return pend.broadcast_id
 
     def _flood(self, pend):
         self.seq += 1
@@ -329,35 +330,30 @@ class Node:
     # ---- path checking: chain walking (any node) ----
 
     def _continue_chain(self, source, path_number, nonce, target):
+        """Probe the next hop toward target; a probe that awaits a reply
+        is this node's record of the check."""
         entry = self.fresh_route(target)
-        if entry is None:
-            self._deliver(pk.NoRouteReport(
-                self.node_id, target, source, path_number, nonce), source)
-            return
-        nhn = entry.next_hop
-        trusted = self.bch.get(nhn) is TrustState.TRUSTED
-        if trusted:
-            probe = pk.OrdinalProbe(self.node_id, nhn, nonce, source, target,
-                                    path_number)
-        else:
-            probe = pk.DataControl(self.node_id, nhn, nonce, source, target,
-                                   path_number)
-        # A hand-made probe may carry a nonce that names no session.
-        session = self.sim.sessions.get(nonce)
-        if session is not None:
-            self.sim.audit(session, "probe", "%s>%s" % (self.node_id, nhn))
-        if not self.sim.unicast(self.node_id, nhn, probe):
-            entry.fresh = False
-            self._deliver(pk.NoRouteReport(
-                self.node_id, target, source, path_number, nonce), source)
-            return
-        if not trusted:
+        if entry is not None:
+            nhn = entry.next_hop
+            trusted = self.bch.get(nhn) is TrustState.TRUSTED
+            probe = (pk.OrdinalProbe if trusted else pk.DataControl)(
+                self.node_id, nhn, nonce, source, target, path_number)
+            # A hand-made probe may carry a nonce that names no session.
+            session = self.sim.sessions.get(nonce)
             if session is not None:
-                session.dcp_count += 1
-            handle = self.sim.schedule_in(
-                self.sim.cfg.reply_timeout,
-                lambda: self._probe_timeout(source, path_number, nonce, target, nhn))
-            self.probe_timers[nonce] = (handle, nhn, target, path_number)
+                self.sim.audit(session, "probe", "%s>%s" % (self.node_id, nhn))
+            if self.sim.unicast(self.node_id, nhn, probe):
+                if not trusted:
+                    if session is not None:
+                        session.dcp_count += 1
+                    timer = self.sim.schedule_in(
+                        self.sim.cfg.reply_timeout,
+                        lambda: self._probe_timeout(probe))
+                    self.probe_timers[nonce] = (probe, timer)
+                return
+            entry.fresh = False
+        self._deliver(pk.NoRouteReport(
+            self.node_id, target, source, path_number, nonce), source)
 
     def handle_data_control(self, pkt, sender):
         reply = pk.DataControlReply(self.node_id, pkt.random_number,
@@ -379,47 +375,46 @@ class Node:
     def handle_probe_reply(self, pkt, sender):
         rec = self.probe_timers.get(pkt.random_number)
         if rec is not None:
-            handle, nhn, _, _ = rec
-            if sender == nhn:
+            probe, timer = rec
+            if sender == probe.nhn:
                 del self.probe_timers[pkt.random_number]
-                handle.cancel()
-                self.bch.set_trusted(nhn)
+                timer.cancel()
+                self.bch.set_trusted(sender)
                 session = self.sim.sessions.get(pkt.random_number)
                 if session is not None:
-                    session.verified.add(nhn)
+                    session.verified.add(sender)
             return
         # Reply that matches no outstanding nonce: if it came from a hop
-        # we are currently probing under this source and path, the echo
-        # was wrong and the hop is suspect.
-        for nonce, (handle, nhn, target, path) in list(self.probe_timers.items()):
-            if nhn == sender and path == pkt.path_number:
+        # we are probing on this path number, the echo was wrong and the
+        # hop is suspect, reported to the probe's own source.
+        for nonce, (probe, timer) in self.probe_timers.items():
+            if probe.nhn == sender and probe.path_number == pkt.path_number:
                 del self.probe_timers[nonce]
-                handle.cancel()
-                self.bch.set_untrusted(nhn)
-                self._suspicion(pkt.source, path, nonce, target, nhn)
+                timer.cancel()
+                self.bch.set_untrusted(sender)
+                self._suspicion(probe)
                 return
 
-    def _probe_timeout(self, source, path_number, nonce, target, nhn):
-        self.probe_timers.pop(nonce, None)
-        self.bch.set_untrusted(nhn)
-        self._suspicion(source, path_number, nonce, target, nhn)
+    def _probe_timeout(self, probe):
+        self.probe_timers.pop(probe.random_number, None)
+        self.bch.set_untrusted(probe.nhn)
+        self._suspicion(probe)
 
-    def _suspicion(self, source, path_number, nonce, target, nhn):
-        query = pk.NhnQuery(self.node_id, nhn, target, nonce)
-        if self.sim.unicast(self.node_id, nhn, query):
-            handle = self.sim.schedule_in(
+    def _suspicion(self, probe):
+        """Ask the silent hop for its next hop, then report it."""
+        query = pk.NhnQuery(self.node_id, probe.nhn, probe.target,
+                            probe.random_number)
+        if self.sim.unicast(self.node_id, probe.nhn, query):
+            timer = self.sim.schedule_in(
                 self.sim.cfg.query_timeout,
-                lambda: self._nhn_query_timeout(nonce))
-            self.pending_nhn[nonce] = (nhn, target, source, path_number, handle)
+                lambda: self._nhn_query_timeout(probe))
+            self.pending_nhn[probe.random_number] = (probe, timer)
         else:
-            self._send_suspect_report(source, path_number, nonce, nhn, None, None)
+            self._send_suspect_report(probe, None, None)
 
-    def _nhn_query_timeout(self, nonce):
-        rec = self.pending_nhn.pop(nonce, None)
-        if rec is None:
-            return
-        nhn, target, source, path_number, _ = rec
-        self._send_suspect_report(source, path_number, nonce, nhn, None, None)
+    def _nhn_query_timeout(self, probe):
+        if self.pending_nhn.pop(probe.random_number, None) is not None:
+            self._send_suspect_report(probe, None, None)
 
     def handle_nhn_query(self, pkt, sender):
         entry = self.fresh_route(pkt.target)
@@ -431,29 +426,28 @@ class Node:
 
     def handle_nhn_reply(self, pkt, sender):
         rec = self.pending_nhn.get(pkt.random_number)
-        if rec is None or sender != rec[0]:
+        if rec is None or sender != rec[0].nhn:
             return
         del self.pending_nhn[pkt.random_number]
-        nhn, target, source, path_number, handle = rec
-        handle.cancel()
-        self._send_suspect_report(source, path_number, pkt.random_number,
-                                  nhn, pkt.nhn, pkt.trust_for_nhn)
+        probe, timer = rec
+        timer.cancel()
+        self._send_suspect_report(probe, pkt.nhn, pkt.trust_for_nhn)
 
-    def _send_suspect_report(self, source, path_number, nonce, suspect,
-                             claimed_nhn, claimed_trust):
+    def _send_suspect_report(self, probe, claimed_nhn, claimed_trust):
         self._deliver(pk.SuspectReport(
-            self.node_id, suspect, source, path_number, nonce,
-            claimed_nhn, claimed_trust), source)
+            self.node_id, probe.nhn, probe.source, probe.path_number,
+            probe.random_number, claimed_nhn, claimed_trust), probe.source)
 
     # ---- path checking: source reactions ----
 
-    def _session_for(self, pkt):
+    def _session_for(self, pkt, state="checking"):
+        """The check pkt answers: this node's session, in state, on pkt's
+        nonce and path number; None for any other."""
         session = self.sim.sessions.get(pkt.random_number)
-        if session is None or session.state != "checking":
-            return None
-        if session.nonce != pkt.random_number:
-            return None
-        if pkt.path_number != session.path_number:
+        if (session is None or session.source != self.node_id
+                or session.state != state
+                or session.nonce != pkt.random_number
+                or session.path_number != pkt.path_number):
             return None
         return session
 
@@ -539,8 +533,8 @@ class Node:
         self._forward_control(reply, pkt.asker)
 
     def handle_bch_reply(self, pkt, sender):
-        session = self.sim.sessions.get(pkt.random_number)
-        if session is None or session.state != "verifying":
+        session = self._session_for(pkt, "verifying")
+        if session is None:
             return
         session.verify_timer.cancel()
         target = pkt.node_id

@@ -71,12 +71,12 @@ def _cmd_suite(args):
     seeds = args.seeds
     started = time.perf_counter()
     rows, summary, sims = run_suite(seeds, args.out,
-                                    defense=args.defense or "debh",
+                                    defense=args.defense,
                                     trace=args.trace)
     _print_timing(started,
                   sum(sim.engine.processed for sim in sims.values()))
     print("suite: %d scenarios x %d seeds, defense=%s"
-          % (len(summary), len(seeds), args.defense or "debh"))
+          % (len(summary), len(seeds), args.defense))
     for entry in summary:
         counts = entry["detected_counts"]
         print("  %-12s planted=%d detected(min=%d max=%d) exact=%s"
@@ -119,7 +119,7 @@ def main(argv=None):
     p_suite.add_argument("--seeds", required=True, type=_parse_seeds,
                          help="seed range n..m or comma list")
     p_suite.add_argument("--out", required=True)
-    p_suite.add_argument("--defense", choices=("debh", "none"), default=None)
+    p_suite.add_argument("--defense", choices=("debh", "none"), default="debh")
     p_suite.add_argument("--trace", action="store_true")
     p_suite.set_defaults(func=_cmd_suite)
 

@@ -57,7 +57,6 @@ class Data:
     destination: int
     flow_id: int
     seq_no: int
-    payload_bytes: int
 
 
 @dataclass

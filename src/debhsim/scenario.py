@@ -39,7 +39,6 @@ class ScenarioConfig:
     connections: int = 10
     packets_per_connection: int = 10
     rate_pps: float = 2.0
-    payload_bytes: int = 512
     flows: tuple = None           # ((source, dest, start_s), ...)
     defense: str = "debh"
     seed: int = 0
@@ -123,8 +122,6 @@ class ScenarioConfig:
             raise ConfigError("traffic.packets_per_connection: must be at least 1")
         if self.rate_pps <= 0:
             raise ConfigError("traffic.rate_pps: must be positive")
-        if self.payload_bytes < 1:
-            raise ConfigError("traffic.payload_bytes: must be at least 1")
         if self.seq_inflation < 1:
             raise ConfigError("attack.seq_inflation: must be at least 1")
         for attr in ("hop_latency", "reply_timeout", "selection_window",
@@ -190,7 +187,6 @@ _SCHEMA = {
     ("traffic", "connections"): ("connections", int),
     ("traffic", "packets_per_connection"): ("packets_per_connection", int),
     ("traffic", "rate_pps"): ("rate_pps", float),
-    ("traffic", "payload_bytes"): ("payload_bytes", int),
     ("traffic", "flows"): ("flows", _parse_flows),
     ("timing", "hop_latency_s"): ("hop_latency", float),
     ("timing", "reply_timeout_s"): ("reply_timeout", float),

@@ -63,8 +63,7 @@ class Flow:
         if self.sent >= self.sim.cfg.packets_per_connection:
             self.state = "done"
             return
-        data = pk.Data(self.source, self.destination, self.flow_id, self.sent,
-                       self.sim.cfg.payload_bytes)
+        data = pk.Data(self.source, self.destination, self.flow_id, self.sent)
         self.sent += 1
         self.sim.nodes[self.source].send_data(data)
         self.sim.schedule_in(1.0 / self.sim.cfg.rate_pps, self._send_next)

@@ -98,9 +98,9 @@ def test_attacker_destroys_data_and_counts_the_drop():
     # A probe of 14 is outstanding, so an honest node would take 14's
     # reply as proof and trust it.
     handle = sim.engine.schedule_in(1.0, lambda: None)
-    node.probe_timers[99] = (handle, 14, 3, 1)
+    node.probe_timers[99] = (pk.DataControl(10, 14, 99, 1, 3, 1), handle)
     queued = len(sim.engine._queue)
-    node.receive(pk.Data(1, 3, 0, 0, 512), 2)
+    node.receive(pk.Data(1, 3, 0, 0), 2)
     assert sim.metrics.malicious_drops == 1
     assert sim.groups[0].received[(10, 1)] == 1
     # Hop-check probes and their replies die silently too: nothing is
@@ -121,14 +121,16 @@ def test_attacker_relays_ordinal_probes_like_an_honest_node():
     for node in (sim.nodes[10], Node(10, sim)):
         node.table[3] = RoutingEntry(3, 14, 2, 1, 3)
         node.receive(pk.OrdinalProbe(2, 10, 99, 1, 3, 1), 2)
-        relayed.append((calls[:], sorted(node.probe_timers)))
+        relayed.append((calls[:], {nonce: probe for nonce, (probe, _)
+                                   in node.probe_timers.items()}))
         del calls[:]
     assert isinstance(sim.nodes[10], AdversaryNode)
     assert relayed[0] == relayed[1]
     ((sender, to, probe, force),), timers = relayed[0]
     assert (sender, to, force) == (10, 14, False)
     assert probe == pk.DataControl(10, 14, 99, 1, 3, 1)
-    assert timers == [99]
+    # The probe it sent is its record of the check.
+    assert timers == {99: probe}
 
 
 def test_attack_without_defense_starves_the_flow():

@@ -205,15 +205,31 @@ def test_route_error_marks_the_sources_entry_stale():
     assert not node.table[3].fresh
 
 
+def _report_sink(sim, *nodes):
+    """Collect (time, receiving node, report) for suspect reports."""
+    reports = []
+    for n in nodes:
+        sim.nodes[n].handle_suspect_report = (
+            lambda pkt, sender, n=n: reports.append((sim.now, n, pkt)))
+    return reports
+
+
 def test_mismatched_probe_reply_marks_the_hop_suspect():
-    sim = _sim([(1, 2), (2, 3)])
+    sim = _sim([(1, 2), (2, 3), (2, 4)])
     node = sim.nodes[2]
+    node.table[1] = RoutingEntry(1, 1, 1, 1, 1)
+    node.table[4] = RoutingEntry(4, 4, 1, 1, 4)
+    reports = _report_sink(sim, 1, 4)
     handle = sim.engine.schedule_in(1.0, lambda: None)
-    node.probe_timers[555] = (handle, 3, 5, 1)
-    node.handle_probe_reply(pk.DataControlReply(3, 777, 1, 1), 3)
+    node.probe_timers[555] = (pk.DataControl(2, 3, 555, 1, 5, 1), handle)
+    # The echo is wrong and names source 4; the probe was for source 1.
+    node.handle_probe_reply(pk.DataControlReply(3, 777, 4, 1), 3)
     assert node.probe_timers == {}
     assert handle.cancelled
     assert node.bch.get(3) is TrustState.UNTRUSTED
+    sim.engine.run_until(sim.now + 2.0)
+    assert [(n, pkt) for _, n, pkt in reports] == [
+        (1, pk.SuspectReport(2, 3, 1, 1, 555, None, TrustState.NULL))]
 
 
 def test_honest_node_reports_its_actual_next_hop():
@@ -264,3 +280,79 @@ def test_a_repeated_suspect_report_for_a_resolved_path_is_ignored():
     assert events.count("reroute") == 1
     assert session.path_number == 2
     assert sim.metrics.rreq_count_by_source[1] == floods + 1
+
+
+def _silent_hop(answer):
+    """Line 1-2-3-4: node 2 probes 3 for a hand-made check by source 1,
+    path 2, nonce 4242; 3 drops the probe and answers the next-hop query
+    as answer says."""
+    sim = _sim([(1, 2), (2, 3), (3, 4)])
+    _discover(sim, 1, 4)
+    hop = sim.nodes[3]
+
+    def drop_probe(pkt, sender):
+        if answer == "refused":
+            sim.topology._adj[2].discard(3)
+            sim.topology._adj[3].discard(2)
+
+    hop.handle_data_control = drop_probe
+    if answer == "silent":
+        hop.handle_nhn_query = lambda pkt, sender: None
+    reports = _report_sink(sim, 1)
+    t0 = sim.now
+    sim.nodes[2]._continue_chain(1, 2, 4242, 4)
+    sim.engine.run_until(t0 + 2.0)
+    return sim, t0, reports
+
+
+# After the probe times out, the report waits for the query to time out,
+# for the reply's round trip, or for nothing when the query is refused.
+@pytest.mark.parametrize("answer, claims, wait", [
+    ("silent", (None, None), lambda cfg: cfg.query_timeout),
+    ("honest", (4, TrustState.NULL), lambda cfg: 2 * cfg.hop_latency),
+    ("refused", (None, None), lambda cfg: 0.0),
+], ids=["query-times-out", "nhn-reply", "query-refused"])
+def test_a_silent_hop_is_reported_once_by_its_prober(answer, claims, wait):
+    sim, t0, reports = _silent_hop(answer)
+    cfg = sim.cfg
+    assert [(n, pkt) for _, n, pkt in reports] == [
+        (1, pk.SuspectReport(2, 3, 1, 2, 4242, *claims))]
+    sent = t0 + cfg.reply_timeout + wait(cfg)
+    assert reports[0][0] == pytest.approx(sent + cfg.hop_latency)
+    prober = sim.nodes[2]
+    assert prober.bch.get(3) is TrustState.UNTRUSTED
+    assert prober.probe_timers == {} and prober.pending_nhn == {}
+
+
+def _checked_line():
+    """Node 1 checks its route on line 1-2-3-4-5."""
+    sim = _sim([(1, 2), (2, 3), (3, 4), (4, 5)], defense="debh")
+    rrep = _discover(sim, 1, 5)["rrep"]
+    done = []
+    session = sim.nodes[1].start_check(5, rrep, sim.now, done.append)
+    return sim, session, done
+
+
+def test_a_suspect_report_for_another_nodes_session_is_ignored():
+    sim, session, _ = _checked_line()
+    rows = len(sim.audit_lines)
+    floods = dict(sim.metrics.rreq_count_by_source)
+    sim.nodes[5].receive(pk.SuspectReport(3, 2, 5, session.path_number,
+                                          session.nonce, 3,
+                                          TrustState.TRUSTED), 4)
+    assert session.path_number == 1
+    assert session.blackhole_queue == []
+    assert sim.audit_lines[rows:] == []
+    assert dict(sim.metrics.rreq_count_by_source) == floods
+
+
+def test_a_bch_reply_for_another_nodes_session_is_ignored():
+    sim, session, done = _checked_line()
+    sim.nodes[1]._begin_verify(session, 5)
+    rows = len(sim.audit_lines)
+    sim.nodes[5].receive(pk.BchReply(4, {}, 5, session.path_number,
+                                     session.nonce), 4)
+    assert session.state == "verifying"
+    assert not session.verify_timer.cancelled
+    assert sim.audit_lines[rows:] == []
+    assert done == []

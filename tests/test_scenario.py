@@ -29,7 +29,7 @@ def test_empty_config_keeps_every_default(tmp_path):
     assert (cfg.min_speed, cfg.max_speed, cfg.pause_s) == (2.0, 20.0, 15.0)
     assert cfg.mobility is True
     assert (cfg.connections, cfg.packets_per_connection) == (10, 10)
-    assert (cfg.rate_pps, cfg.payload_bytes) == (2.0, 512)
+    assert cfg.rate_pps == 2.0
     assert cfg.defense == "debh"
     assert cfg.attack_mode == "none"
     assert cfg.seed == 0
@@ -64,7 +64,6 @@ one_victim = off
 connections = 4
 packets_per_connection = 6
 rate_pps = 1
-payload_bytes = 256
 flows = 1>4; 2>4@30
 
 [timing]
@@ -95,8 +94,10 @@ reply_timeout_s = 0.08
 
 
 def test_unknown_key_is_rejected_by_name(tmp_path):
-    with pytest.raises(ConfigError, match="node_cout"):
-        load_config(_write(tmp_path, "[scenario]\nnode_cout = 30\n"))
+    # payload_bytes is not a setting: nothing would read it.
+    for section, key in (("scenario", "node_cout"), ("traffic", "payload_bytes")):
+        with pytest.raises(ConfigError, match=key):
+            load_config(_write(tmp_path, "[%s]\n%s = 30\n" % (section, key)))
 
 
 def test_unparseable_value_names_the_setting(tmp_path):
