@@ -78,7 +78,7 @@ class AdversaryNode(Node):
     # ---- data-class traffic: destroyed ----
 
     def handle_data(self, data, sender):
-        self.sim.metrics.record_malicious_drop()
+        self.sim.metrics.malicious_drops += 1
         self.group.note_data(self.node_id, data.source)
 
     def handle_data_control(self, pkt, sender):
@@ -112,7 +112,7 @@ class AdversaryNode(Node):
                        rreq.dest_seq_known + self.group.seq_inflation, 1,
                        self.node_id, claimed_nhn, TrustState.TRUSTED)
         self.group.engage(self.node_id, rreq.origin)
-        self.sim.metrics.record_forged_rrep()
+        self.sim.metrics.forged_rreps += 1
         self.sim.unicast(self.node_id, sender, rrep)
 
     def handle_rrep(self, rrep, sender):

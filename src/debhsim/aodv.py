@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from . import packets as pk
 from .debh import BchTable, CheckSession, TrustState, adjudicate, is_malicious, \
     resolve_next_target
+from .metrics import format_ids
 
 # Floods a discovery repeats after its first before it fails (RFC 3561).
 RREQ_RETRIES = 2
@@ -139,7 +140,7 @@ class Node:
                        known.dest_seq if known else 0,
                        pend.broadcast_id, 0, pend.excluded)
         self.seen_floods[(self.node_id, pend.broadcast_id)] = pend.excluded
-        self.sim.metrics.record_rreq(self.node_id)
+        self.sim.metrics.rreq_count_by_source[self.node_id] += 1
         self.sim.broadcast(self.node_id, rreq)
         pend.timeout_handle = self.sim.schedule_in(
             self.sim.cfg.discovery_timeout,
@@ -279,21 +280,17 @@ class Node:
 
     # ---- data plane ----
 
-    def send_data(self, data):
-        self.sim.metrics.record_sent(data.source)
-        self.handle_data(data, self.node_id)
-
     def handle_data(self, data, sender):
         if self.node_id == data.destination:
-            self.sim.metrics.record_delivery(data.source)
+            self.sim.metrics.delivered_by_source[data.source] += 1
             return
         entry = self.fresh_route(data.destination)
-        if entry is not None and self.sim.unicast(self.node_id, entry.next_hop, data):
+        if entry is None:
+            self._deliver(pk.NoRouteReport(
+                self.node_id, data.destination, data.source, 0), data.source)
             return
-        if entry is not None:
-            entry.fresh = False
-        self._deliver(pk.NoRouteReport(
-            self.node_id, data.destination, data.source, 0), data.source)
+        # fresh_route has just checked this link at this instant.
+        self.sim.unicast(self.node_id, entry.next_hop, data)
 
     # ---- path checking: source side ----
 
@@ -333,27 +330,27 @@ class Node:
         """Probe the next hop toward target; a probe that awaits a reply
         is this node's record of the check."""
         entry = self.fresh_route(target)
-        if entry is not None:
-            nhn = entry.next_hop
-            trusted = self.bch.get(nhn) is TrustState.TRUSTED
-            probe = (pk.OrdinalProbe if trusted else pk.DataControl)(
-                self.node_id, nhn, nonce, source, target, path_number)
-            # A hand-made probe may carry a nonce that names no session.
-            session = self.sim.sessions.get(nonce)
+        if entry is None:
+            self._deliver(pk.NoRouteReport(
+                self.node_id, target, source, path_number, nonce), source)
+            return
+        nhn = entry.next_hop
+        trusted = self.bch.get(nhn) is TrustState.TRUSTED
+        probe = (pk.OrdinalProbe if trusted else pk.DataControl)(
+            self.node_id, nhn, nonce, source, target, path_number)
+        # A hand-made probe may carry a nonce that names no session.
+        session = self.sim.sessions.get(nonce)
+        if session is not None:
+            self.sim.audit(session, "probe", "%s>%s" % (self.node_id, nhn))
+        # fresh_route has just checked this link at this instant.
+        self.sim.unicast(self.node_id, nhn, probe)
+        if not trusted:
             if session is not None:
-                self.sim.audit(session, "probe", "%s>%s" % (self.node_id, nhn))
-            if self.sim.unicast(self.node_id, nhn, probe):
-                if not trusted:
-                    if session is not None:
-                        session.dcp_count += 1
-                    timer = self.sim.schedule_in(
-                        self.sim.cfg.reply_timeout,
-                        lambda: self._probe_timeout(probe))
-                    self.probe_timers[nonce] = (probe, timer)
-                return
-            entry.fresh = False
-        self._deliver(pk.NoRouteReport(
-            self.node_id, target, source, path_number, nonce), source)
+                session.dcp_count += 1
+            timer = self.sim.schedule_in(
+                self.sim.cfg.reply_timeout,
+                lambda: self._probe_timeout(probe))
+            self.probe_timers[nonce] = (probe, timer)
 
     def handle_data_control(self, pkt, sender):
         reply = pk.DataControlReply(self.node_id, pkt.random_number,
@@ -568,8 +565,8 @@ class Node:
                 self.node_id, session.final_destination, session.started_at,
                 self.sim.now, session.session_id)
         if condemned:
-            self.sim.audit(session, "malicious", ";".join(str(c) for c in condemned))
-            self.sim.metrics.record_detection(condemned)
+            self.sim.audit(session, "malicious", format_ids(condemned))
+            self.sim.metrics.detected_malicious.update(condemned)
             self._broadcast_alarm(condemned)
         session.on_done(safe is not None)
 

@@ -4,6 +4,7 @@ import argparse
 import sys
 import time
 
+from .metrics import format_ids
 from .replay import FIXTURES, replay
 from .scenario import ConfigError, load_config, run_scenario, run_suite
 
@@ -28,10 +29,9 @@ def _parse_seeds(text):
 def _print_run(sim):
     m = sim.metrics
     cfg = sim.cfg
-    detected = ";".join(str(n) for n in sorted(m.detected_malicious)) or "-"
-    planted = ";".join(str(n) for n in cfg.planted()) or "-"
     print("scenario=%s seed=%d defense=%s" % (cfg.name, cfg.seed, cfg.defense))
-    print("  detected=%s planted=%s" % (detected, planted))
+    print("  detected=%s planted=%s" % (format_ids(sorted(m.detected_malicious)),
+                                        format_ids(cfg.planted())))
     print("  sent=%d delivered=%d rreq=%d probes=%d"
           % (m.total_sent(), m.total_delivered(),
              sum(m.rreq_count_by_source.values()),
@@ -49,8 +49,7 @@ def _print_timing(started, events):
 
 def _cmd_run(args):
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg.seed = args.seed
     if args.defense is not None:
         cfg.defense = args.defense
     if args.trace:

@@ -3,22 +3,17 @@
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .metrics import format_ids
 
 AUDIT_HEADER = ("time,source,path_number,event,subject,"
                 "blackhole_queue,rrep_generator_queue")
-
-
-def format_queue(queue):
-    if not queue:
-        return "-"
-    return ";".join(str(n) for n in queue)
 
 
 def format_audit_row(now, source, path_number, event, subject,
                      blackhole_queue, generator_queue):
     return "%.4f,%s,%s,%s,%s,%s,%s" % (
         now, source, path_number, event, subject,
-        format_queue(blackhole_queue), format_queue(generator_queue))
+        format_ids(blackhole_queue), format_ids(generator_queue))
 
 
 class TrustState(Enum):

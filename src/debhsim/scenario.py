@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .debh import AUDIT_HEADER
-from .metrics import CSV_HEADER
+from .metrics import CSV_HEADER, write_lines
 from .simulation import Simulation
 
 DEFENSES = ("debh", "none")
@@ -105,6 +105,8 @@ class ScenarioConfig:
             for u, v in self.edges:
                 if u not in ids or v not in ids:
                     raise ConfigError("topology: edge %s %s names an unknown node" % (u, v))
+                if u == v:
+                    raise ConfigError("topology: self edge on %s" % u)
         if self.flows is not None:
             for src, dst, start in self.flows:
                 if src not in ids or dst not in ids:
@@ -118,6 +120,9 @@ class ScenarioConfig:
                     raise ConfigError("traffic.flows: negative start time")
         if self.connections < 0:
             raise ConfigError("traffic.connections: must not be negative")
+        if self.flows is None and self.connections and len(ids - seen) < 2:
+            raise ConfigError("traffic.connections: random flows need at "
+                              "least two honest nodes")
         if self.packets_per_connection < 1:
             raise ConfigError("traffic.packets_per_connection: must be at least 1")
         if self.rate_pps <= 0:
@@ -279,19 +284,22 @@ def run_scenario(cfg, out_dir=None):
     return sim
 
 
+def _csv_lines(rows):
+    return (",".join(row) for row in rows)
+
+
 def write_outputs(sim, out_dir, prefix=""):
+    """Write the run's metrics.csv, audit.log and, when traced,
+    events.trace."""
     os.makedirs(out_dir, exist_ok=True)
     cfg = sim.cfg
-    sim.metrics.write_csv(os.path.join(out_dir, prefix + "metrics.csv"),
-                          cfg.name, cfg.seed, cfg.planted())
-    with open(os.path.join(out_dir, prefix + "audit.log"), "w") as fh:
-        fh.write(AUDIT_HEADER + "\n")
-        for line in sim.audit_lines:
-            fh.write(line + "\n")
-    if cfg.trace and sim.engine.trace is not None:
-        with open(os.path.join(out_dir, prefix + "events.trace"), "w") as fh:
-            for line in sim.engine.trace:
-                fh.write(line + "\n")
+    path = os.path.join(out_dir, prefix)
+    write_lines(path + "metrics.csv",
+                _csv_lines(sim.metrics.csv_rows(cfg.name, cfg.seed, cfg.planted())),
+                CSV_HEADER)
+    write_lines(path + "audit.log", sim.audit_lines, AUDIT_HEADER)
+    if sim.engine.trace is not None:
+        write_lines(path + "events.trace", sim.engine.trace)
 
 
 # ---- the standard scenarios ----
@@ -404,7 +412,8 @@ def build_suite(seed=0, defense="debh"):
 
 
 def run_suite(seeds, out_dir=None, defense="debh", trace=False):
-    """Run every suite scenario for every seed.
+    """Run every suite scenario for every seed, writing each run's files
+    as it finishes and suite.csv at the end.
 
     Returns (csv_rows, summary, sims): rows ordered by (scenario index,
     seed), a per-scenario summary of detection results, and the finished
@@ -413,38 +422,25 @@ def run_suite(seeds, out_dir=None, defense="debh", trace=False):
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("seeds: need at least one")
-    sims = {}
-    names = [cfg.name for cfg in build_suite(seeds[0], defense)]
-    for index in range(len(names)):
+    rows, summary, sims = [], [], {}
+    for index in range(len(build_suite())):
+        detected_sets = []
         for seed in seeds:
             cfg = build_suite(seed, defense)[index]
             cfg.trace = trace
-            sims[(index, seed)] = run_scenario(cfg)
-
-    rows = []
-    summary = []
-    for index, name in enumerate(names):
-        detected_sets = []
-        planted = None
-        for seed in seeds:
-            sim = sims[(index, seed)]
-            planted = set(sim.cfg.planted())
-            detected_sets.append(set(sim.metrics.detected_malicious))
-            rows.extend(sim.metrics.csv_rows(name, seed, sim.cfg.planted()))
+            sim = sims[(index, seed)] = run_scenario(cfg)
+            if out_dir is not None:
+                write_outputs(sim, out_dir, prefix="%s-s%d-" % (cfg.name, seed))
+            rows += sim.metrics.csv_rows(cfg.name, seed, cfg.planted())
+            detected_sets.append(sim.metrics.detected_malicious)
+        planted = set(cfg.planted())
         summary.append({
-            "scenario": name,
+            "scenario": cfg.name,
             "planted": sorted(planted),
             "detected_counts": [len(d) for d in detected_sets],
             "exact": all(d == planted for d in detected_sets),
         })
-
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "suite.csv"), "w") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-        for (index, seed), sim in sorted(sims.items()):
-            write_outputs(sim, out_dir,
-                          prefix="%s-s%d-" % (names[index], seed))
+        write_lines(os.path.join(out_dir, "suite.csv"), _csv_lines(rows),
+                    CSV_HEADER)
     return rows, summary, sims

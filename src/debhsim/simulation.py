@@ -65,7 +65,8 @@ class Flow:
             return
         data = pk.Data(self.source, self.destination, self.flow_id, self.sent)
         self.sent += 1
-        self.sim.nodes[self.source].send_data(data)
+        self.sim.metrics.sent_by_source[self.source] += 1
+        self.sim.nodes[self.source].handle_data(data, self.source)
         self.sim.schedule_in(1.0 / self.sim.cfg.rate_pps, self._send_next)
 
     def route_lost(self):

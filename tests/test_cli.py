@@ -1,5 +1,6 @@
 """Command line surface: exit codes and outputs."""
 
+import pathlib
 import re
 
 import pytest
@@ -156,3 +157,33 @@ def test_suite_prints_the_delivered_summary_line(tmp_path, capsys):
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert "  delivered mean=40.0 min=10 max=90" in lines
+
+
+def test_run_rejects_a_self_edge(tmp_path, capsys):
+    code = main(["run", "--config",
+                 _config(tmp_path, "[topology]\n1 2\n2 2\n"), "--seed", "0"])
+    assert code == 1
+    shown = capsys.readouterr().err
+    assert "self edge on 2" in shown
+    assert "Traceback" not in shown
+
+
+@pytest.mark.parametrize("text", [
+    "[scenario]\nnode_count = 1\n",
+    "[scenario]\nnode_count = 3\n[attack]\nmode = distributed\ngroups = 1;2\n",
+], ids=["one-node", "one-honest-node"])
+def test_run_rejects_random_flows_without_two_honest_nodes(tmp_path, capsys,
+                                                          text):
+    code = main(["run", "--config", _config(tmp_path, text), "--seed", "0"])
+    assert code == 1
+    shown = capsys.readouterr().err
+    assert "two honest nodes" in shown
+    assert "Traceback" not in shown
+
+
+def test_readme_config_example_runs(tmp_path, capsys):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+    code = main(["run", "--config", _config(tmp_path, example), "--seed", "7"])
+    assert code == 0
+    assert "planted=10;14;15" in capsys.readouterr().out

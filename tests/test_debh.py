@@ -2,8 +2,9 @@
 
 from debhsim import packets as pk
 from debhsim.debh import (AUDIT_HEADER, BchTable, CheckSession, TrustState,
-                          adjudicate, format_audit_row, format_queue,
-                          is_malicious, resolve_next_target)
+                          adjudicate, format_audit_row, is_malicious,
+                          resolve_next_target)
+from debhsim.metrics import format_ids
 
 T = TrustState.TRUSTED
 U = TrustState.UNTRUSTED
@@ -184,8 +185,9 @@ def test_adjudication_does_not_mutate_the_suspect_queue():
 
 
 def test_queue_formatting():
-    assert format_queue([]) == "-"
-    assert format_queue([10, 14]) == "10;14"
+    # Queues print in their own order, not sorted.
+    assert format_ids([]) == "-"
+    assert format_ids([14, 10]) == "14;10"
 
 
 def test_audit_row_matches_the_header_shape():

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from debhsim.scenario import ScenarioConfig, run_scenario, run_suite
+from debhsim.scenario import ScenarioConfig, build_suite, run_scenario, run_suite
 
 OUTPUTS = ("metrics.csv", "audit.log", "events.trace")
 
@@ -108,6 +108,10 @@ GOLDEN = {
 }
 
 
+# suite.csv of run_suite([0], out); _digests leaves it out.
+SUITE_CSV = "8d3c98b86d77865e6f821392df6e7fd4d3c3ee41b9ba46d0a02b618cb92b97ab"
+
+
 def _digests(out_dir):
     """One digest per output kind over every file of that kind, in name
     order, with each file's name hashed before its bytes."""
@@ -124,3 +128,23 @@ def _digests(out_dir):
 def test_outputs_match_the_pinned_digests(name, tmp_path):
     RUNS[name](str(tmp_path))
     assert _digests(tmp_path) == GOLDEN[name]
+
+
+def test_suite_csv_matches_its_pinned_digest(tmp_path):
+    run_suite([0], str(tmp_path))
+    digest = hashlib.sha256((tmp_path / "suite.csv").read_bytes()).hexdigest()
+    assert digest == SUITE_CSV
+
+
+def test_suite_csv_is_the_per_run_metrics_in_scenario_then_seed_order(tmp_path):
+    seeds = [1, 0]
+    run_suite(seeds, str(tmp_path))
+    header, *body = (tmp_path / "suite.csv").read_text().splitlines(True)
+    expected = []
+    for cfg in build_suite():
+        for seed in seeds:
+            lines = (tmp_path / ("%s-s%d-metrics.csv" % (cfg.name, seed))
+                     ).read_text().splitlines(True)
+            assert lines[0] == header
+            expected += lines[1:]
+    assert body == expected

@@ -2,19 +2,16 @@
 
 import pytest
 
-from debhsim.metrics import CSV_HEADER, MetricsError, RunMetrics
+from debhsim.metrics import CSV_HEADER, MetricsError, RunMetrics, write_lines
 
 
 def _filled():
     m = RunMetrics()
-    m.record_rreq(1)
-    m.record_rreq(1)
-    m.record_rreq(2)
-    for _ in range(10):
-        m.record_sent(1)
-    for _ in range(8):
-        m.record_delivery(1)
-    m.record_detection([3, 5])
+    m.rreq_count_by_source[1] += 2
+    m.rreq_count_by_source[2] += 1
+    m.sent_by_source[1] += 10
+    m.delivered_by_source[1] += 8
+    m.detected_malicious.update([5, 3])
     m.mark_secure_path(1, 4, 0.0, 0.64, session_id=1)
     return m
 
@@ -25,11 +22,8 @@ def test_counters_accumulate():
     assert m.total_sent() == 10
     assert m.total_delivered() == 8
     assert m.detected_malicious == {3, 5}
-    assert m.delivery_ratio() == pytest.approx(0.8)
-
-
-def test_delivery_ratio_is_undefined_without_traffic():
-    assert RunMetrics().delivery_ratio() is None
+    # Sources with no traffic read as zero.
+    assert m.sent_by_source[2] == 0 and m.delivered_by_source[9] == 0
 
 
 def test_secure_path_delay_keeps_the_first_mark_per_pair():
@@ -61,7 +55,7 @@ def test_csv_rows_one_per_source_in_id_order():
 
 def test_csv_placeholders_for_empty_sets():
     m = RunMetrics()
-    m.record_rreq(1)
+    m.rreq_count_by_source[1] += 1
     row = m.csv_rows("benign", 0, [])[0]
     assert row[4] == "-"   # no secure path delay
     assert row[5] == "-"   # nothing detected
@@ -71,7 +65,10 @@ def test_csv_placeholders_for_empty_sets():
 def test_csv_file_round_trip(tmp_path):
     m = _filled()
     path = tmp_path / "metrics.csv"
-    m.write_csv(path, "single", 7, [3, 5])
-    lines = path.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 3
+    write_lines(str(path), (",".join(r) for r in m.csv_rows("single", 7, [3, 5])),
+                CSV_HEADER)
+    assert path.read_text() == (CSV_HEADER + "\n"
+                                "single,7,1,2,0.6400,3;5,3;5,10,8\n"
+                                "single,7,2,1,-,3;5,3;5,0,0\n")
+    write_lines(str(path), ["a", "b"])
+    assert path.read_text() == "a\nb\n"
