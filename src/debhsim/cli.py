@@ -129,6 +129,9 @@ def main(argv=None):
     p_replay.set_defaults(func=_cmd_replay)
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.trace and args.out is None:
+        # Nothing would write the trace the run formats.
+        p_run.error("--trace needs --out")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -417,7 +417,9 @@ def run_suite(seeds, out_dir=None, defense="debh", trace=False):
 
     Returns (csv_rows, summary, sims): rows ordered by (scenario index,
     seed), a per-scenario summary of detection results, and the finished
-    simulations keyed by (scenario index, seed).
+    simulations keyed by (scenario index, seed).  A traced suite written
+    to out_dir returns its sims without their trace (engine.trace is
+    None): each cell's trace lives in its <scenario>-s<seed>-events.trace.
     """
     seeds = list(seeds)
     if not seeds:
@@ -431,6 +433,9 @@ def run_suite(seeds, out_dir=None, defense="debh", trace=False):
             sim = sims[(index, seed)] = run_scenario(cfg)
             if out_dir is not None:
                 write_outputs(sim, out_dir, prefix="%s-s%d-" % (cfg.name, seed))
+                # The file holds the trace now; keeping every cell's lines
+                # until the suite returns is most of its peak memory.
+                sim.engine.trace = None
             rows += sim.metrics.csv_rows(cfg.name, seed, cfg.planted())
             detected_sets.append(sim.metrics.detected_malicious)
         planted = set(cfg.planted())

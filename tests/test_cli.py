@@ -71,6 +71,17 @@ def test_run_with_trace_names_every_file_it_writes(tmp_path, capsys):
             % (out, out, out)) in shown
 
 
+def test_run_trace_without_out_is_a_usage_error(tmp_path, capsys):
+    # Without --out nothing would write the trace the run formats.
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--config", _config(tmp_path, SINGLE_INI),
+              "--seed", "7", "--trace"])
+    assert err.value.code == 1
+    shown = capsys.readouterr()
+    assert shown.err == "debhsim run: error: --trace needs --out\n"
+    assert shown.out == ""
+
+
 TIMING = re.compile(r"wall=\d+\.\d{3}s events=[1-9]\d* events/s=\d+\n")
 
 

@@ -252,6 +252,20 @@ def test_run_suite_orders_rows_by_scenario_then_seed(tmp_path):
     assert len(sims) == 14
 
 
+def test_traced_suite_keeps_each_trace_in_its_file_only(tmp_path):
+    out = tmp_path / "suite"
+    _, _, sims = run_suite([0, 1], str(out), trace=True)
+    assert len(sims) == 14
+    assert all(sim.engine.trace is None for sim in sims.values())
+    for (_, seed), sim in sims.items():
+        trace = out / ("%s-s%d-events.trace" % (sim.cfg.name, seed))
+        assert trace.stat().st_size > 0
+    # With nothing written, the traces stay on the sims.
+    _, _, kept = run_suite([0, 1], None, trace=True)
+    assert len(kept) == 14
+    assert all(sim.engine.trace for sim in kept.values())
+
+
 def test_run_suite_needs_at_least_one_seed():
     with pytest.raises(ConfigError):
         run_suite([])
