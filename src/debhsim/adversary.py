@@ -14,8 +14,7 @@ class AdversaryGroup:
     names when asked for its next hop.
     """
 
-    def __init__(self, members, seq_inflation=100, one_victim=True,
-                 victim_quota=10):
+    def __init__(self, members, seq_inflation, one_victim, victim_quota):
         self.members = sorted(members)
         self.seq_inflation = seq_inflation
         self.one_victim = one_victim

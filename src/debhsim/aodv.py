@@ -196,13 +196,6 @@ class Node:
                 return
         getattr(self, handler)(pkt, sender)
 
-    def _deliver(self, pkt, addressee):
-        """Handle pkt here if it is addressed to this node, else forward it."""
-        if addressee == self.node_id:
-            getattr(self, self._HANDLERS[type(pkt)][0])(pkt, self.node_id)
-        else:
-            self._forward_control(pkt, addressee)
-
     def _forward_control(self, pkt, addressee):
         entry = self.fresh_route(addressee)
         if entry is None:
@@ -286,8 +279,8 @@ class Node:
             return
         entry = self.fresh_route(data.destination)
         if entry is None:
-            self._deliver(pk.NoRouteReport(
-                self.node_id, data.destination, data.source, 0), data.source)
+            self.receive(pk.NoRouteReport(
+                self.node_id, data.destination, data.source, 0), self.node_id)
             return
         # fresh_route has just checked this link at this instant.
         self.sim.unicast(self.node_id, entry.next_hop, data)
@@ -331,8 +324,8 @@ class Node:
         is this node's record of the check."""
         entry = self.fresh_route(target)
         if entry is None:
-            self._deliver(pk.NoRouteReport(
-                self.node_id, target, source, path_number, nonce), source)
+            self.receive(pk.NoRouteReport(
+                self.node_id, target, source, path_number, nonce), self.node_id)
             return
         nhn = entry.next_hop
         trusted = self.bch.get(nhn) is TrustState.TRUSTED
@@ -363,8 +356,8 @@ class Node:
 
     def handle_ordinal_probe(self, pkt, sender):
         if self.node_id == pkt.target:
-            self._deliver(pk.Ack(self.node_id, pkt.source, pkt.random_number,
-                                 pkt.path_number), pkt.source)
+            self.receive(pk.Ack(self.node_id, pkt.source, pkt.random_number,
+                                pkt.path_number), self.node_id)
             return
         self._continue_chain(pkt.source, pkt.path_number, pkt.random_number,
                              pkt.target)
@@ -431,9 +424,9 @@ class Node:
         self._send_suspect_report(probe, pkt.nhn, pkt.trust_for_nhn)
 
     def _send_suspect_report(self, probe, claimed_nhn, claimed_trust):
-        self._deliver(pk.SuspectReport(
+        self.receive(pk.SuspectReport(
             self.node_id, probe.nhn, probe.source, probe.path_number,
-            probe.random_number, claimed_nhn, claimed_trust), probe.source)
+            probe.random_number, claimed_nhn, claimed_trust), self.node_id)
 
     # ---- path checking: source reactions ----
 

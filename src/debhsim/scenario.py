@@ -4,6 +4,8 @@ import configparser
 import os
 from dataclasses import dataclass
 from importlib import resources
+from itertools import combinations
+from typing import ClassVar
 
 from .debh import AUDIT_HEADER
 from .metrics import CSV_HEADER, write_lines
@@ -43,13 +45,16 @@ class ScenarioConfig:
     defense: str = "debh"
     seed: int = 0
     cache_reply: bool = False
-    hop_latency: float = 0.01
-    reply_timeout: float = 0.04
-    selection_window: float = 0.2
-    discovery_timeout: float = 1.0
-    query_timeout: float = 0.5
-    session_timeout: float = 30.0
     trace: bool = False
+
+    # Protocol timing is part of the model, not a setting: a silent hop is
+    # condemned on a timeout, so each must outlast the round trip it awaits.
+    hop_latency: ClassVar[float] = 0.01
+    reply_timeout: ClassVar[float] = 0.04
+    selection_window: ClassVar[float] = 0.2
+    discovery_timeout: ClassVar[float] = 1.0
+    query_timeout: ClassVar[float] = 0.5
+    session_timeout: ClassVar[float] = 30.0
 
     def node_ids(self):
         if self.nodes is not None:
@@ -129,10 +134,6 @@ class ScenarioConfig:
             raise ConfigError("traffic.rate_pps: must be positive")
         if self.seq_inflation < 1:
             raise ConfigError("attack.seq_inflation: must be at least 1")
-        for attr in ("hop_latency", "reply_timeout", "selection_window",
-                     "discovery_timeout", "query_timeout", "session_timeout"):
-            if getattr(self, attr) <= 0:
-                raise ConfigError("timing.%s: must be positive" % attr)
         return self
 
 
@@ -193,12 +194,6 @@ _SCHEMA = {
     ("traffic", "packets_per_connection"): ("packets_per_connection", int),
     ("traffic", "rate_pps"): ("rate_pps", float),
     ("traffic", "flows"): ("flows", _parse_flows),
-    ("timing", "hop_latency_s"): ("hop_latency", float),
-    ("timing", "reply_timeout_s"): ("reply_timeout", float),
-    ("timing", "selection_window_s"): ("selection_window", float),
-    ("timing", "discovery_timeout_s"): ("discovery_timeout", float),
-    ("timing", "query_timeout_s"): ("query_timeout", float),
-    ("timing", "session_timeout_s"): ("session_timeout", float),
 }
 
 
@@ -266,12 +261,11 @@ def build_simulation(cfg):
     if cfg.attack_mode == "cooperative":
         # Colluding nodes must all hear each other where they stand.
         for group in sim.groups:
-            for i, a in enumerate(group.members):
-                for b in group.members[i + 1:]:
-                    if not sim.topology.has_link(a, b, 0.0):
-                        raise ConfigError(
-                            "attack.groups: cooperative nodes %s and %s "
-                            "are not in range of each other" % (a, b))
+            for a, b in combinations(group.members, 2):
+                if not sim.topology.has_link(a, b, 0.0):
+                    raise ConfigError(
+                        "attack.groups: cooperative nodes %s and %s "
+                        "are not in range of each other" % (a, b))
     return sim
 
 
@@ -309,8 +303,8 @@ def single_scenario(seed=0, defense="debh", one_victim=True):
     return ScenarioConfig(
         name="single", edges=((1, 2), (2, 3), (2, 4)),
         attack_mode="single", attack_groups=((3,),),
-        flows=((1, 4, 0.0),), connections=1,
-        defense=defense, seed=seed, one_victim=one_victim, mobility=False)
+        flows=((1, 4, 0.0),),
+        defense=defense, seed=seed, one_victim=one_victim)
 
 
 def cooperative_scenario(k, seed=0, defense="debh"):
@@ -323,41 +317,34 @@ def cooperative_scenario(k, seed=0, defense="debh"):
     edges = [(s, hub) for s in sources]
     edges.append((hub, dest))
     edges.extend((hub, a) for a in attackers)
-    for i, a in enumerate(attackers):
-        for b in attackers[i + 1:]:
-            edges.append((a, b))
+    edges.extend(combinations(attackers, 2))
     return ScenarioConfig(
         name="coop%d" % k, edges=tuple(edges),
         attack_mode="cooperative", attack_groups=(tuple(attackers),),
-        flows=tuple((s, dest, 0.0) for s in sources), connections=k,
-        defense=defense, seed=seed, mobility=False)
+        flows=tuple((s, dest, 0.0) for s in sources),
+        defense=defense, seed=seed)
 
 
-def _fixture_edges(name):
+def _fixture(name, attack_groups, flow, seed, defense):
+    """A shipped mesh from package data, attacked in the mode it is named
+    for, with one flow."""
     text = resources.files("debhsim").joinpath("data", name + ".topo").read_text()
-    return parse_edge_lines(text.splitlines())
+    edges = parse_edge_lines(text.splitlines())
+    return ScenarioConfig(
+        name=name, nodes=tuple(sorted({n for e in edges for n in e})),
+        edges=edges, attack_mode=name, attack_groups=attack_groups,
+        flows=(flow,), defense=defense, seed=seed)
 
 
 def cooperative_fixture(seed=0, defense="debh"):
     """The shipped clique-of-three mesh used by the replay command."""
-    edges = _fixture_edges("cooperative")
-    nodes = tuple(sorted({n for e in edges for n in e}))
-    return ScenarioConfig(
-        name="cooperative", nodes=nodes, edges=edges,
-        attack_mode="cooperative", attack_groups=((10, 14, 15),),
-        flows=((1, 3, 0.0),), connections=1,
-        defense=defense, seed=seed, mobility=False)
+    return _fixture("cooperative", ((10, 14, 15),), (1, 3, 0.0), seed, defense)
 
 
 def distributed_fixture(seed=0, defense="debh"):
     """The shipped two-branch mesh with an attacker pair on each branch."""
-    edges = _fixture_edges("distributed")
-    nodes = tuple(sorted({n for e in edges for n in e}))
-    return ScenarioConfig(
-        name="distributed", nodes=nodes, edges=edges,
-        attack_mode="distributed", attack_groups=((10, 14), (12, 16)),
-        flows=((1, 8, 0.0),), connections=1,
-        defense=defense, seed=seed, mobility=False)
+    return _fixture("distributed", ((10, 14), (12, 16)), (1, 8, 0.0), seed,
+                    defense)
 
 
 def sweep_scenario(k, seed=0, defense="debh"):
@@ -374,14 +361,12 @@ def sweep_scenario(k, seed=0, defense="debh"):
         edges.append((hubs[s], dest))
     for a in pool:
         edges.extend((a, hubs[s]) for s in sources)
-    for i, a in enumerate(pool):
-        for b in pool[i + 1:]:
-            edges.append((a, b))
+    edges.extend(combinations(pool, 2))
     return ScenarioConfig(
         name="sweep%d" % k, node_count=34, edges=tuple(edges),
         attack_mode="cooperative", attack_groups=(tuple(pool[:k]),),
-        flows=tuple((s, dest, 0.0) for s in sources), connections=12,
-        defense=defense, seed=seed, mobility=False)
+        flows=tuple((s, dest, 0.0) for s in sources),
+        defense=defense, seed=seed)
 
 
 def benign_scenario(seed=0):
@@ -394,8 +379,7 @@ def trust_decay_scenario(seed=0):
     return ScenarioConfig(
         name="trustdecay", nodes=(1, 2, 3, 4, 5),
         edges=((1, 2), (2, 3), (3, 4), (4, 5)),
-        flows=((1, 5, 0.0), (1, 5, 60.0)), connections=2,
-        seed=seed, mobility=False)
+        flows=((1, 5, 0.0), (1, 5, 60.0)), seed=seed)
 
 
 def build_suite(seed=0, defense="debh"):

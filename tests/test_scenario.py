@@ -66,10 +66,6 @@ packets_per_connection = 6
 rate_pps = 1
 flows = 1>4; 2>4@30
 
-[timing]
-hop_latency_s = 0.02
-reply_timeout_s = 0.08
-
 [topology]
 1 2
 2 4
@@ -88,16 +84,29 @@ reply_timeout_s = 0.08
     assert cfg.seq_inflation == 50
     assert cfg.one_victim is False
     assert cfg.flows == ((1, 4, 0.0), (2, 4, 30.0))
-    assert cfg.hop_latency == 0.02
-    assert cfg.reply_timeout == 0.08
     assert cfg.edges == ((1, 2), (2, 4), (2, 10), (10, 14), (10, 15), (14, 15))
 
 
+_TIMING = {"hop_latency": 0.01, "reply_timeout": 0.04, "selection_window": 0.2,
+           "discovery_timeout": 1.0, "query_timeout": 0.5,
+           "session_timeout": 30.0}
+
+
 def test_unknown_key_is_rejected_by_name(tmp_path):
-    # payload_bytes is not a setting: nothing would read it.
-    for section, key in (("scenario", "node_cout"), ("traffic", "payload_bytes")):
+    # payload_bytes is not a setting: nothing would read it.  Protocol
+    # timing is part of the model, so a [timing] section is refused too.
+    keys = [("scenario", "node_cout"), ("traffic", "payload_bytes")]
+    keys += [("timing", name + "_s") for name in _TIMING]
+    for section, key in keys:
         with pytest.raises(ConfigError, match=key):
             load_config(_write(tmp_path, "[%s]\n%s = 30\n" % (section, key)))
+
+
+def test_protocol_timing_is_fixed_by_the_model():
+    for name, value in _TIMING.items():
+        with pytest.raises(TypeError):
+            ScenarioConfig(**{name: value})
+        assert getattr(ScenarioConfig(), name) == value
 
 
 def test_unparseable_value_names_the_setting(tmp_path):
