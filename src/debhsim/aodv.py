@@ -9,6 +9,9 @@ from .metrics import format_ids
 
 # Floods a discovery repeats after its first before it fails (RFC 3561).
 RREQ_RETRIES = 2
+# Routes a flow asks for before it fails: each failed check or lost link
+# asks again, and a flow that never gets a safe route must still end.
+FLOW_ATTEMPTS = 8
 
 
 @dataclass
@@ -35,13 +38,15 @@ def select_best_rrep(candidates):
 class _Pending:
     """One in-flight route discovery at the source."""
 
-    __slots__ = ("destination", "broadcast_id", "excluded", "candidates",
-                 "timeout_handle", "retries_left", "on_route", "on_fail", "t0")
+    __slots__ = ("destination", "broadcast_id", "excluded", "dest_only",
+                 "candidates", "timeout_handle", "retries_left", "on_route",
+                 "on_fail", "t0")
 
-    def __init__(self, destination, excluded, on_route, on_fail, t0):
+    def __init__(self, destination, excluded, dest_only, on_route, on_fail, t0):
         self.destination = destination
         self.broadcast_id = 0         # set by each flood
         self.excluded = excluded
+        self.dest_only = dest_only
         self.candidates = []          # (adjusted Rrep, sender)
         self.timeout_handle = None
         self.retries_left = RREQ_RETRIES
@@ -116,7 +121,8 @@ class Node:
             return
         self.discover(destination, excluded, on_route, on_fail)
 
-    def discover(self, destination, excluded, on_route, on_fail):
+    def discover(self, destination, excluded, on_route, on_fail,
+                 dest_only=False):
         if destination == self.node_id:
             raise ValueError("node %s cannot discover itself" % self.node_id)
         if destination in self.pending:
@@ -126,8 +132,8 @@ class Node:
             old.on_route = on_route
             old.on_fail = on_fail
             return
-        pend = _Pending(destination, tuple(excluded), on_route, on_fail,
-                        self.sim.now)
+        pend = _Pending(destination, tuple(excluded), dest_only, on_route,
+                        on_fail, self.sim.now)
         self.pending[destination] = pend
         self._flood(pend)
 
@@ -138,7 +144,7 @@ class Node:
         known = self.table.get(pend.destination)
         rreq = pk.Rreq(self.node_id, pend.destination, self.seq,
                        known.dest_seq if known else 0,
-                       pend.broadcast_id, 0, pend.excluded)
+                       pend.broadcast_id, 0, pend.excluded, pend.dest_only)
         self.seen_floods[(self.node_id, pend.broadcast_id)] = pend.excluded
         self.sim.metrics.rreq_count_by_source[self.node_id] += 1
         self.sim.broadcast(self.node_id, rreq)
@@ -216,7 +222,7 @@ class Node:
         if self.node_id == rreq.destination:
             self._answer_as_destination(rreq, sender)
             return
-        if self.sim.cfg.cache_reply:
+        if self.sim.cfg.cache_reply and not rreq.dest_only:
             entry = self.fresh_route(rreq.destination)
             if entry is not None and entry.dest_seq >= rreq.dest_seq_known:
                 rrep = pk.Rrep(rreq.origin, rreq.destination, rreq.broadcast_id,
@@ -280,7 +286,7 @@ class Node:
         entry = self.fresh_route(data.destination)
         if entry is None:
             self.receive(pk.NoRouteReport(
-                self.node_id, data.destination, data.source, 0), self.node_id)
+                data.destination, data.source, 0), self.node_id)
             return
         # fresh_route has just checked this link at this instant.
         self.sim.unicast(self.node_id, entry.next_hop, data)
@@ -325,12 +331,12 @@ class Node:
         entry = self.fresh_route(target)
         if entry is None:
             self.receive(pk.NoRouteReport(
-                self.node_id, target, source, path_number, nonce), self.node_id)
+                target, source, path_number, nonce), self.node_id)
             return
         nhn = entry.next_hop
         trusted = self.bch.get(nhn) is TrustState.TRUSTED
         probe = (pk.OrdinalProbe if trusted else pk.DataControl)(
-            self.node_id, nhn, nonce, source, target, path_number)
+            nhn, nonce, source, target, path_number)
         # A hand-made probe may carry a nonce that names no session.
         session = self.sim.sessions.get(nonce)
         if session is not None:
@@ -346,8 +352,7 @@ class Node:
             self.probe_timers[nonce] = (probe, timer)
 
     def handle_data_control(self, pkt, sender):
-        reply = pk.DataControlReply(self.node_id, pkt.random_number,
-                                    pkt.source, pkt.path_number)
+        reply = pk.DataControlReply(pkt.random_number, pkt.path_number)
         # The handshake is atomic: a delivered probe always earns its
         # reply, link churn within the exchange is below model resolution.
         self.sim.unicast(self.node_id, sender, reply, force=True)
@@ -409,7 +414,7 @@ class Node:
     def handle_nhn_query(self, pkt, sender):
         entry = self.fresh_route(pkt.target)
         nhn = entry.next_hop if entry is not None else None
-        reply = pk.NhnReply(self.node_id, nhn,
+        reply = pk.NhnReply(nhn,
                             self.bch.get(nhn) if nhn is not None else TrustState.NULL,
                             pkt.asker, pkt.random_number)
         self.sim.unicast(self.node_id, sender, reply, force=True)
@@ -482,8 +487,12 @@ class Node:
         def routed(rrep, t0):
             if session.state == "checking":
                 on_route(session, rrep)
+        # Only the target may answer: a relay's cached route can lead back
+        # to a suspect or to a relay with no route on, and the check would
+        # walk it again on every retry, re-arming its watchdog each time.
         self.discover(session.current_target, tuple(session.blackhole_queue),
-                      routed, lambda dest: self._finish_session(session, aborted=True))
+                      routed, lambda dest: self._finish_session(session, aborted=True),
+                      dest_only=True)
 
     def handle_ack(self, pkt, sender):
         session = self._session_for(pkt)
@@ -503,8 +512,7 @@ class Node:
                             tuple(sorted(session.claims)), session.path_number,
                             session.nonce)
         self.sim.audit(session, "verify", str(target))
-        sent = self._forward_control(query, target) if target != self.node_id else False
-        if not sent:
+        if not self._forward_control(query, target):
             session.add_suspect(target)
             self._finish_session(session)
             return
@@ -579,7 +587,7 @@ class Node:
             return
         self.seen_alarms.add(key)
         self._apply_alarm(alarm)
-        self.sim.broadcast(self.node_id, alarm.hopped(alarm.hop_count + 1))
+        self.sim.broadcast(self.node_id, alarm)
 
     def _apply_alarm(self, alarm):
         for m in alarm.malicious:

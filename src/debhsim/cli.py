@@ -3,6 +3,7 @@
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 from .metrics import format_ids
 from .replay import FIXTURES, replay
@@ -49,11 +50,8 @@ def _print_timing(started, events):
 
 def _cmd_run(args):
     cfg = load_config(args.config)
-    cfg.seed = args.seed
-    if args.defense is not None:
-        cfg.defense = args.defense
-    if args.trace:
-        cfg.trace = True
+    cfg = replace(cfg, seed=args.seed, defense=args.defense or cfg.defense,
+                  trace=args.trace)
     started = time.perf_counter()
     sim = run_scenario(cfg, args.out)
     _print_timing(started, sim.engine.processed)

@@ -27,6 +27,9 @@ class Rreq(_Hops):
     # Nodes the source refuses to route through; honest nodes ignore
     # flood copies and replies arriving from these senders.
     excluded: tuple = ()
+    # Only the destination may answer (RFC 3561's D flag), not a relay
+    # from its cached route.
+    dest_only: bool = False
 
 
 @dataclass
@@ -55,15 +58,12 @@ class Data:
 
     source: int
     destination: int
-    flow_id: int
-    seq_no: int
 
 
 @dataclass
 class DataControl:
     """Hop check probe; black holes drop it because it is data-class."""
 
-    node_id: int
     nhn: int
     random_number: int
     source: int
@@ -76,7 +76,6 @@ class OrdinalProbe:
     """Same shape as DataControl but control-class; no reply expected.
     A class of its own because the event trace names packets by class."""
 
-    node_id: int
     nhn: int
     random_number: int
     source: int
@@ -86,9 +85,7 @@ class OrdinalProbe:
 
 @dataclass
 class DataControlReply:
-    node_id: int
     random_number: int
-    source: int
     path_number: int
 
 
@@ -119,7 +116,6 @@ class SuspectReport:
 class NoRouteReport:
     """A chain node lost its route toward the session target."""
 
-    reporter: int
     unreachable: int
     source: int
     path_number: int
@@ -136,7 +132,6 @@ class NhnQuery:
 
 @dataclass
 class NhnReply:
-    node_id: int
     nhn: int
     trust_for_nhn: "object"
     asker: int
@@ -162,10 +157,9 @@ class BchReply:
 
 
 @dataclass
-class Alarm(_Hops):
+class Alarm:
     """Network-wide elimination broadcast naming confirmed black holes."""
 
     origin: int
     alarm_id: int
     malicious: tuple
-    hop_count: int = 0

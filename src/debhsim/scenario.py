@@ -2,7 +2,7 @@
 
 import configparser
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import combinations
 from typing import ClassVar
@@ -19,9 +19,10 @@ class ConfigError(ValueError):
     """A scenario parameter failed validation."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one run needs; defaults are the standard parameter set."""
+    """Everything one run needs; defaults are the standard parameter set.
+    Checked when built; a variant is dataclasses.replace(cfg, seed=...)."""
 
     name: str = "default"
     node_count: int = 30
@@ -67,7 +68,7 @@ class ScenarioConfig:
     def planted(self):
         return sorted({m for g in self.attack_groups for m in g})
 
-    def validate(self):
+    def __post_init__(self):
         if self.nodes is not None and not self.nodes:
             raise ConfigError("nodes: explicit node list is empty")
         if self.nodes is None and self.node_count < 1:
@@ -134,7 +135,6 @@ class ScenarioConfig:
             raise ConfigError("traffic.rate_pps: must be positive")
         if self.seq_inflation < 1:
             raise ConfigError("attack.seq_inflation: must be at least 1")
-        return self
 
 
 # ---- config file parsing ----
@@ -227,11 +227,10 @@ def load_config(path):
     except configparser.Error as exc:
         raise ConfigError("config file: %s" % exc)
 
-    cfg = ScenarioConfig()
-    arena_w, arena_h = cfg.arena
+    settings = {}
     for section in parser.sections():
         if section == "topology":
-            cfg.edges = parse_edge_lines(parser.options("topology"))
+            settings["edges"] = parse_edge_lines(parser.options("topology"))
             continue
         for key, value in parser.items(section):
             spec = _SCHEMA.get((section, key))
@@ -239,24 +238,18 @@ def load_config(path):
                 raise ConfigError("unknown setting [%s] %s" % (section, key))
             attr, convert = spec
             try:
-                parsed = convert(value)
+                settings[attr] = convert(value)
             except (TypeError, ValueError):
                 raise ConfigError("[%s] %s: cannot parse %r" % (section, key, value))
-            if attr == "_arena_w":
-                arena_w = parsed
-            elif attr == "_arena_h":
-                arena_h = parsed
-            else:
-                setattr(cfg, attr, parsed)
-    cfg.arena = (arena_w, arena_h)
-    cfg.validate()
-    return cfg
+    width, height = ScenarioConfig.arena
+    settings["arena"] = (settings.pop("_arena_w", width),
+                         settings.pop("_arena_h", height))
+    return ScenarioConfig(**settings)
 
 
 # ---- building and running ----
 
 def build_simulation(cfg):
-    cfg.validate()
     sim = Simulation(cfg)
     if cfg.attack_mode == "cooperative":
         # Colluding nodes must all hear each other where they stand.
@@ -409,11 +402,11 @@ def run_suite(seeds, out_dir=None, defense="debh", trace=False):
     if not seeds:
         raise ConfigError("seeds: need at least one")
     rows, summary, sims = [], [], {}
-    for index in range(len(build_suite())):
+    suites = [build_suite(seed, defense) for seed in seeds]
+    for index, cells in enumerate(zip(*suites)):
         detected_sets = []
-        for seed in seeds:
-            cfg = build_suite(seed, defense)[index]
-            cfg.trace = trace
+        for seed, cfg in zip(seeds, cells):
+            cfg = replace(cfg, trace=trace)
             sim = sims[(index, seed)] = run_scenario(cfg)
             if out_dir is not None:
                 write_outputs(sim, out_dir, prefix="%s-s%d-" % (cfg.name, seed))

@@ -2,7 +2,7 @@
 
 from . import packets as pk
 from .adversary import AdversaryGroup, AdversaryNode
-from .aodv import Node
+from .aodv import FLOW_ATTEMPTS, Node
 from .debh import format_audit_row
 from .engine import Simulator
 from .metrics import RunMetrics
@@ -13,9 +13,8 @@ class Flow:
     """One source-to-destination conversation: find a route, check it
     when the defense is on, then send packets at the configured rate."""
 
-    def __init__(self, sim, flow_id, source, destination, start_t):
+    def __init__(self, sim, source, destination, start_t):
         self.sim = sim
-        self.flow_id = flow_id
         self.source = source
         self.destination = destination
         self.start_t = start_t
@@ -29,7 +28,7 @@ class Flow:
 
     def _get_route(self):
         self.attempts += 1
-        if self.attempts > 8:
+        if self.attempts > FLOW_ATTEMPTS:
             self.state = "failed"
             return
         node = self.sim.nodes[self.source]
@@ -63,7 +62,7 @@ class Flow:
         if self.sent >= self.sim.cfg.packets_per_connection:
             self.state = "done"
             return
-        data = pk.Data(self.source, self.destination, self.flow_id, self.sent)
+        data = pk.Data(self.source, self.destination)
         self.sent += 1
         self.sim.metrics.sent_by_source[self.source] += 1
         self.sim.nodes[self.source].handle_data(data, self.source)
@@ -123,8 +122,7 @@ class Simulation:
             for _ in range(cfg.connections):
                 src, dst = self.engine.rng.sample(honest, 2)
                 flow_specs.append((src, dst, 0.0))
-        self.flows = [Flow(self, i, s, d, t)
-                      for i, (s, d, t) in enumerate(flow_specs)]
+        self.flows = [Flow(self, s, d, t) for s, d, t in flow_specs]
 
     # ---- clock and randomness ----
 

@@ -5,14 +5,14 @@ so a suite run doubles as the acceptance report.
 """
 
 import functools
-import random
 
 from debhsim.debh import TrustState, is_malicious
 from debhsim.replay import replay
-from debhsim.scenario import (ScenarioConfig, benign_scenario, build_suite,
-                              distributed_fixture, run_scenario, run_suite,
-                              single_scenario, sweep_scenario,
-                              trust_decay_scenario, write_outputs)
+from debhsim.scenario import (benign_scenario, build_suite, distributed_fixture,
+                              run_scenario, run_suite, single_scenario,
+                              sweep_scenario, trust_decay_scenario,
+                              write_outputs)
+from test_golden import _paper30
 
 T = TrustState.TRUSTED
 U = TrustState.UNTRUSTED
@@ -124,11 +124,7 @@ def test_criterion_7_trust_rules():
     # Mobile seed 65 under distributed attack condemns honest nodes 4 and
     # 25; the alarm nulls everyone's entries for them, so nodes an alarm
     # named are left out of the symmetry check.
-    pool = random.Random(65).sample(range(1, 31), 4)
-    false_positive = ScenarioConfig(
-        name="paper30", seed=65, attack_mode="distributed",
-        attack_groups=((pool[0], pool[1]), (pool[2], pool[3])))
-    configs = (build_suite(0) + [trust_decay_scenario(), false_positive]
+    configs = (build_suite(0) + [trust_decay_scenario(), _paper30(65, "debh")]
                + [benign_scenario(seed=s) for s in range(10)])
     trusted_pairs = 0
     for cfg in configs:

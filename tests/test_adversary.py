@@ -1,5 +1,7 @@
 """Attacker behavior: forged replies, coordination, cover stories."""
 
+from dataclasses import replace
+
 from debhsim import packets as pk
 from debhsim.adversary import AdversaryNode
 from debhsim.aodv import Node, RoutingEntry
@@ -9,9 +11,7 @@ from debhsim.scenario import (ScenarioConfig, build_simulation,
 
 
 def _fixture_sim(trace=False):
-    cfg = cooperative_fixture()
-    cfg.trace = trace
-    return build_simulation(cfg)
+    return build_simulation(replace(cooperative_fixture(), trace=trace))
 
 
 def _recorder(sim):
@@ -98,15 +98,15 @@ def test_attacker_destroys_data_and_counts_the_drop():
     # A probe of 14 is outstanding, so an honest node would take 14's
     # reply as proof and trust it.
     handle = sim.engine.schedule_in(1.0, lambda: None)
-    node.probe_timers[99] = (pk.DataControl(10, 14, 99, 1, 3, 1), handle)
+    node.probe_timers[99] = (pk.DataControl(14, 99, 1, 3, 1), handle)
     queued = len(sim.engine._queue)
-    node.receive(pk.Data(1, 3, 0, 0), 2)
+    node.receive(pk.Data(1, 3), 2)
     assert sim.metrics.malicious_drops == 1
     assert sim.groups[0].received[(10, 1)] == 1
     # Hop-check probes and their replies die silently too: nothing is
     # sent or scheduled, and no trust entry changes.
-    node.receive(pk.DataControl(2, 10, 98, 1, 3, 1), 2)
-    node.receive(pk.DataControlReply(14, 99, 1, 1), 14)
+    node.receive(pk.DataControl(10, 98, 1, 3, 1), 2)
+    node.receive(pk.DataControlReply(99, 1), 14)
     assert sim.metrics.malicious_drops == 1
     assert len(sim.engine._queue) == queued
     assert node.bch.entries() == {}
@@ -120,7 +120,7 @@ def test_attacker_relays_ordinal_probes_like_an_honest_node():
     relayed = []
     for node in (sim.nodes[10], Node(10, sim)):
         node.table[3] = RoutingEntry(3, 14, 2, 1, 3)
-        node.receive(pk.OrdinalProbe(2, 10, 99, 1, 3, 1), 2)
+        node.receive(pk.OrdinalProbe(10, 99, 1, 3, 1), 2)
         relayed.append((calls[:], {nonce: probe for nonce, (probe, _)
                                    in node.probe_timers.items()}))
         del calls[:]
@@ -128,7 +128,7 @@ def test_attacker_relays_ordinal_probes_like_an_honest_node():
     assert relayed[0] == relayed[1]
     ((sender, to, probe, force),), timers = relayed[0]
     assert (sender, to, force) == (10, 14, False)
-    assert probe == pk.DataControl(10, 14, 99, 1, 3, 1)
+    assert probe == pk.DataControl(14, 99, 1, 3, 1)
     # The probe it sent is its record of the check.
     assert timers == {99: probe}
 

@@ -19,11 +19,11 @@ def _sim(edges, flows=(), groups=(), mode="none", **kw):
     return build_simulation(cfg)
 
 
-def _discover(sim, source, dest, excluded=(), horizon=5.0):
+def _discover(sim, source, dest, excluded=(), horizon=5.0, **kw):
     got = {}
     sim.nodes[source].discover(dest, tuple(excluded),
                                lambda rrep, t0: got.update(rrep=rrep, t0=t0),
-                               lambda d: got.update(failed=d))
+                               lambda d: got.update(failed=d), **kw)
     sim.engine.run_until(sim.engine.now + horizon)
     return got
 
@@ -171,6 +171,9 @@ def test_cached_reply_answers_for_a_known_destination():
     got = _discover(sim, 4, 3)
     assert got["rrep"].generator == 2
     assert sim.nodes[3].seen_floods.get((4, 1)) is None
+    # A check's re-discovery is the destination's to answer.
+    got = _discover(sim, 4, 3, dest_only=True)
+    assert got["rrep"].generator == 3
 
 
 def test_data_flows_along_the_installed_route():
@@ -201,7 +204,7 @@ def test_route_error_marks_the_sources_entry_stale():
     sim = _sim([(1, 2), (2, 3)])
     node = sim.nodes[1]
     node.table[3] = RoutingEntry(3, 2, 2, 5, 3)
-    node.handle_no_route_report(pk.NoRouteReport(2, 3, 1, 0), 2)
+    node.handle_no_route_report(pk.NoRouteReport(3, 1, 0), 2)
     assert not node.table[3].fresh
 
 
@@ -221,9 +224,9 @@ def test_mismatched_probe_reply_marks_the_hop_suspect():
     node.table[4] = RoutingEntry(4, 4, 1, 1, 4)
     reports = _report_sink(sim, 1, 4)
     handle = sim.engine.schedule_in(1.0, lambda: None)
-    node.probe_timers[555] = (pk.DataControl(2, 3, 555, 1, 5, 1), handle)
-    # The echo is wrong and names source 4; the probe was for source 1.
-    node.handle_probe_reply(pk.DataControlReply(3, 777, 4, 1), 3)
+    node.probe_timers[555] = (pk.DataControl(3, 555, 1, 5, 1), handle)
+    # The echo carries nonce 777; the probe sent nonce 555.
+    node.handle_probe_reply(pk.DataControlReply(777, 1), 3)
     assert node.probe_timers == {}
     assert handle.cancelled
     assert node.bch.get(3) is TrustState.UNTRUSTED

@@ -36,7 +36,6 @@ _HOPPED = st.one_of(
     st.builds(pk.Rreq, _ints, _ints, _ints, _ints, _ints, _ints, _ids),
     st.builds(pk.Rrep, _ints, _ints, _ints, _ints, _ints, _ints, _ints,
               _trust),
-    st.builds(pk.Alarm, _ints, _ints, _ids, _ints),
 )
 
 
@@ -50,7 +49,7 @@ def test_hopped_is_a_shallow_replace_of_the_hop_count(pkt, hop_count):
     assert new is not pkt
     assert pkt == before
     # Shallow, like replace: every other field is the very same object,
-    # so the excluded and malicious tuples are shared, not copied.
+    # so the excluded tuple is shared, not copied.
     for f in dataclasses.fields(pkt):
         if f.name != "hop_count":
             assert getattr(new, f.name) is getattr(pkt, f.name)

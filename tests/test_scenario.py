@@ -1,5 +1,6 @@
 """Config parsing, validation, the standard scenario set, and outputs."""
 
+import dataclasses
 import os
 
 import pytest
@@ -22,6 +23,7 @@ def _write(tmp_path, text):
 
 def test_empty_config_keeps_every_default(tmp_path):
     cfg = load_config(_write(tmp_path, ""))
+    assert cfg == ScenarioConfig()
     assert cfg.node_count == 30
     assert cfg.arena == (1000.0, 1000.0)
     assert cfg.range_m == 200.0
@@ -85,6 +87,15 @@ flows = 1>4; 2>4@30
     assert cfg.one_victim is False
     assert cfg.flows == ((1, 4, 0.0), (2, 4, 30.0))
     assert cfg.edges == ((1, 2), (2, 4), (2, 10), (10, 14), (10, 15), (14, 15))
+    assert cfg == ScenarioConfig(
+        name="demo", node_count=16, arena=(800.0, 600.0), range_m=150.0,
+        duration_s=300.0, defense="none", seed=9, cache_reply=True,
+        mobility=False, min_speed=1.0, max_speed=5.0, pause_s=2.0,
+        attack_mode="cooperative", attack_groups=((10, 14, 15),),
+        seq_inflation=50, one_victim=False, connections=4,
+        packets_per_connection=6, rate_pps=1.0,
+        flows=((1, 4, 0.0), (2, 4, 30.0)),
+        edges=((1, 2), (2, 4), (2, 10), (10, 14), (10, 15), (14, 15)))
 
 
 _TIMING = {"hop_latency": 0.01, "reply_timeout": 0.04, "selection_window": 0.2,
@@ -107,6 +118,19 @@ def test_protocol_timing_is_fixed_by_the_model():
         with pytest.raises(TypeError):
             ScenarioConfig(**{name: value})
         assert getattr(ScenarioConfig(), name) == value
+
+
+def test_a_built_config_cannot_be_changed():
+    cfg = trust_decay_scenario()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 1
+    # Nor can an instance shadow a timing constant: a 0.02 s reply
+    # timeout would condemn honest node 2 on this attacker-free line.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.reply_timeout = 0.02
+    sim = run_scenario(cfg)
+    assert sim.metrics.detected_malicious == set()
+    assert sim.metrics.total_delivered() == 20
 
 
 def test_unparseable_value_names_the_setting(tmp_path):
@@ -135,16 +159,13 @@ def test_groups_require_an_attack_mode(tmp_path):
 
 
 def test_flow_endpoints_must_be_honest():
-    cfg = single_scenario()
-    cfg.flows = ((1, 3, 0.0),)
     with pytest.raises(ConfigError, match="attacker"):
-        cfg.validate()
+        dataclasses.replace(single_scenario(), flows=((1, 3, 0.0),))
 
 
 def test_flow_endpoints_must_differ():
-    cfg = ScenarioConfig(flows=((1, 1, 0.0),))
     with pytest.raises(ConfigError, match="source equals destination"):
-        cfg.validate()
+        ScenarioConfig(flows=((1, 1, 0.0),))
 
 
 def test_edge_lines_parse_and_reject_garbage():
@@ -156,9 +177,8 @@ def test_edge_lines_parse_and_reject_garbage():
 
 
 def test_edges_must_name_known_nodes():
-    cfg = ScenarioConfig(nodes=(1, 2), edges=((1, 5),))
     with pytest.raises(ConfigError, match="unknown node"):
-        cfg.validate()
+        ScenarioConfig(nodes=(1, 2), edges=((1, 5),))
 
 
 def test_cooperative_group_must_be_mutually_in_range():
@@ -171,9 +191,8 @@ def test_cooperative_group_must_be_mutually_in_range():
 
 
 def test_single_mode_takes_one_attacker_per_group():
-    cfg = ScenarioConfig(attack_mode="single", attack_groups=((3, 4),))
     with pytest.raises(ConfigError, match="single"):
-        cfg.validate()
+        ScenarioConfig(attack_mode="single", attack_groups=((3, 4),))
 
 
 def test_planted_flattens_groups_sorted():
@@ -186,8 +205,6 @@ def test_suite_covers_the_reported_scenario_set():
     assert [cfg.name for cfg in suite] == [
         "single", "coop2", "coop3", "coop5", "coop7", "coop9", "distributed"]
     assert [len(cfg.planted()) for cfg in suite] == [1, 2, 3, 5, 7, 9, 4]
-    for cfg in suite:
-        cfg.validate()
 
 
 def test_cooperative_scenario_scales_with_k():
@@ -215,14 +232,11 @@ def test_fixture_meshes_load_from_package_data():
     assert coop.planted() == [10, 14, 15]
     dist = distributed_fixture()
     assert dist.attack_groups == ((10, 14), (12, 16))
-    coop.validate()
-    dist.validate()
 
 
 def test_trust_decay_scenario_rides_one_line_twice():
     cfg = trust_decay_scenario()
     assert cfg.flows == ((1, 5, 0.0), (1, 5, 60.0))
-    cfg.validate()
 
 
 def test_run_scenario_writes_metrics_and_audit(tmp_path):
@@ -238,9 +252,8 @@ def test_run_scenario_writes_metrics_and_audit(tmp_path):
 
 def test_trace_output_is_optional(tmp_path):
     out = tmp_path / "out"
-    cfg = single_scenario(seed=7)
-    cfg.trace = True
-    run_scenario(cfg, str(out))
+    run_scenario(dataclasses.replace(single_scenario(seed=7), trace=True),
+                 str(out))
     assert (out / "events.trace").exists()
 
 

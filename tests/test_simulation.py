@@ -1,6 +1,7 @@
 """The assembled run: radio facade, audit stream, flows end to end."""
 
 import sys
+from dataclasses import replace
 
 from debhsim import packets as pk
 from debhsim.debh import AUDIT_HEADER
@@ -53,9 +54,7 @@ def _recorded_benign60(trace):
     """The benign60-s1 golden run, with the engine's schedule and log
     wrapped on the instance.  Returns the finished simulation, the
     (kind, detail) of every scheduled event and the caller of every log."""
-    cfg = _benign(60, 20)
-    cfg.trace = trace
-    sim = build_simulation(cfg)
+    sim = build_simulation(replace(_benign(60, 20), trace=trace))
     engine = sim.engine
     scheduled, logged = [], []
     schedule, log = engine.schedule, engine.log
