@@ -2,7 +2,6 @@
 
 from . import packets as pk
 from .aodv import Node
-from .debh import TrustState
 from .topology import bfs_hops
 
 
@@ -109,7 +108,7 @@ class AdversaryNode(Node):
         claimed_nhn = cover if cover is not None else rreq.destination
         rrep = pk.Rrep(rreq.origin, rreq.destination, rreq.broadcast_id,
                        rreq.dest_seq_known + self.group.seq_inflation, 1,
-                       self.node_id, claimed_nhn, TrustState.TRUSTED)
+                       self.node_id, claimed_nhn, True)
         self.group.engage(self.node_id, rreq.origin)
         self.sim.metrics.forged_rreps += 1
         self.sim.unicast(self.node_id, sender, rrep)
@@ -124,14 +123,12 @@ class AdversaryNode(Node):
     def handle_nhn_query(self, pkt, sender):
         cover = self.group.cover[self.node_id]
         claimed = cover if cover is not None else pkt.target
-        reply = pk.NhnReply(claimed, TrustState.TRUSTED, pkt.asker,
-                            pkt.random_number)
+        reply = pk.NhnReply(claimed, True, pkt.asker, pkt.random_number)
         self.sim.unicast(self.node_id, sender, reply, force=True)
 
     def handle_bch_query(self, pkt, sender):
-        entries = {s: TrustState.TRUSTED for s in pkt.subjects}
-        reply = pk.BchReply(self.node_id, entries, pkt.asker, pkt.path_number,
-                            pkt.random_number)
+        reply = pk.BchReply(self.node_id, pkt.subjects, pkt.asker,
+                            pkt.path_number, pkt.random_number)
         self._forward_control(reply, pkt.asker)
 
     # ---- elimination ----

@@ -3,8 +3,7 @@
 from dataclasses import dataclass
 
 from . import packets as pk
-from .debh import BchTable, CheckSession, TrustState, adjudicate, is_malicious, \
-    resolve_next_target
+from .debh import CheckSession, adjudicate, is_malicious, resolve_next_target
 from .metrics import format_ids
 
 # Floods a discovery repeats after its first before it fails (RFC 3561).
@@ -22,7 +21,7 @@ class RoutingEntry:
     dest_seq: int
     generator: int
     generator_nhn: int = None
-    generator_trust: object = None
+    generator_trust: bool = False
     fresh: bool = True
 
 
@@ -70,7 +69,7 @@ class Node:
         self.seen_floods = {}         # (origin, bid) -> excluded tuple
         self.seen_alarms = set()
         self.banned = set()
-        self.bch = BchTable()
+        self.trusted = set()          # BCh table: probe handshake peers
         self.pending = {}             # destination -> _Pending
         self.probe_timers = {}        # nonce -> (probe, reply timer)
         self.pending_nhn = {}         # nonce -> (probe, next-hop query timer)
@@ -89,7 +88,7 @@ class Node:
         return entry
 
     def _maybe_install(self, destination, next_hop, hop_count, dest_seq,
-                       generator, generator_nhn=None, generator_trust=None):
+                       generator, generator_nhn=None, generator_trust=False):
         if destination == self.node_id:
             return
         cur = self.table.get(destination)
@@ -227,7 +226,7 @@ class Node:
             if entry is not None and entry.dest_seq >= rreq.dest_seq_known:
                 rrep = pk.Rrep(rreq.origin, rreq.destination, rreq.broadcast_id,
                                entry.dest_seq, entry.hop_count, self.node_id,
-                               entry.next_hop, self.bch.get(entry.next_hop))
+                               entry.next_hop, entry.next_hop in self.trusted)
                 self.sim.unicast(self.node_id, sender, rrep)
                 return
         self.sim.broadcast(self.node_id, rreq.hopped(rreq.hop_count + 1))
@@ -237,8 +236,7 @@ class Node:
         any the requester knows."""
         self.seq = max(self.seq, rreq.dest_seq_known) + 1
         rrep = pk.Rrep(rreq.origin, self.node_id, rreq.broadcast_id,
-                       self.seq, 0, self.node_id, self.node_id,
-                       TrustState.TRUSTED)
+                       self.seq, 0, self.node_id, self.node_id, True)
         self.sim.unicast(self.node_id, sender, rrep)
 
     def handle_rrep(self, rrep, sender):
@@ -334,7 +332,7 @@ class Node:
                 target, source, path_number, nonce), self.node_id)
             return
         nhn = entry.next_hop
-        trusted = self.bch.get(nhn) is TrustState.TRUSTED
+        trusted = nhn in self.trusted
         probe = (pk.OrdinalProbe if trusted else pk.DataControl)(
             nhn, nonce, source, target, path_number)
         # A hand-made probe may carry a nonce that names no session.
@@ -356,7 +354,7 @@ class Node:
         # The handshake is atomic: a delivered probe always earns its
         # reply, link churn within the exchange is below model resolution.
         self.sim.unicast(self.node_id, sender, reply, force=True)
-        self.bch.set_trusted(sender)
+        self.trusted.add(sender)
         self.handle_ordinal_probe(pkt, sender)
 
     def handle_ordinal_probe(self, pkt, sender):
@@ -374,7 +372,7 @@ class Node:
             if sender == probe.nhn:
                 del self.probe_timers[pkt.random_number]
                 timer.cancel()
-                self.bch.set_trusted(sender)
+                self.trusted.add(sender)
                 session = self.sim.sessions.get(pkt.random_number)
                 if session is not None:
                     session.verified.add(sender)
@@ -386,13 +384,13 @@ class Node:
             if probe.nhn == sender and probe.path_number == pkt.path_number:
                 del self.probe_timers[nonce]
                 timer.cancel()
-                self.bch.set_untrusted(sender)
+                self.trusted.discard(sender)
                 self._suspicion(probe)
                 return
 
     def _probe_timeout(self, probe):
         self.probe_timers.pop(probe.random_number, None)
-        self.bch.set_untrusted(probe.nhn)
+        self.trusted.discard(probe.nhn)
         self._suspicion(probe)
 
     def _suspicion(self, probe):
@@ -405,18 +403,17 @@ class Node:
                 lambda: self._nhn_query_timeout(probe))
             self.pending_nhn[probe.random_number] = (probe, timer)
         else:
-            self._send_suspect_report(probe, None, None)
+            self._send_suspect_report(probe)
 
     def _nhn_query_timeout(self, probe):
         if self.pending_nhn.pop(probe.random_number, None) is not None:
-            self._send_suspect_report(probe, None, None)
+            self._send_suspect_report(probe)
 
     def handle_nhn_query(self, pkt, sender):
         entry = self.fresh_route(pkt.target)
         nhn = entry.next_hop if entry is not None else None
-        reply = pk.NhnReply(nhn,
-                            self.bch.get(nhn) if nhn is not None else TrustState.NULL,
-                            pkt.asker, pkt.random_number)
+        reply = pk.NhnReply(nhn, nhn in self.trusted, pkt.asker,
+                            pkt.random_number)
         self.sim.unicast(self.node_id, sender, reply, force=True)
 
     def handle_nhn_reply(self, pkt, sender):
@@ -428,7 +425,8 @@ class Node:
         timer.cancel()
         self._send_suspect_report(probe, pkt.nhn, pkt.trust_for_nhn)
 
-    def _send_suspect_report(self, probe, claimed_nhn, claimed_trust):
+    def _send_suspect_report(self, probe, claimed_nhn=None,
+                             claimed_trust=False):
         self.receive(pk.SuspectReport(
             self.node_id, probe.nhn, probe.source, probe.path_number,
             probe.random_number, claimed_nhn, claimed_trust), self.node_id)
@@ -525,8 +523,8 @@ class Node:
         self._finish_session(session)
 
     def handle_bch_query(self, pkt, sender):
-        entries = {s: self.bch.get(s) for s in pkt.subjects}
-        reply = pk.BchReply(self.node_id, entries, pkt.asker, pkt.path_number,
+        trusted = tuple(s for s in pkt.subjects if s in self.trusted)
+        reply = pk.BchReply(self.node_id, trusted, pkt.asker, pkt.path_number,
                             pkt.random_number)
         self._forward_control(reply, pkt.asker)
 
@@ -540,7 +538,7 @@ class Node:
             claimed_nhn, claimed_trust = session.claims[claimant]
             if claimant == target or claimed_nhn != target:
                 continue
-            if is_malicious(claimed_trust, pkt.entries.get(claimant, TrustState.NULL)):
+            if is_malicious(claimed_trust, claimant in pkt.trusted):
                 session.add_suspect(claimant)
                 self.sim.audit(session, "confirm", str(claimant))
         self._finish_session(session)
@@ -555,10 +553,7 @@ class Node:
             self.sim.audit(session, "abort", "-")
             session.on_done(False)
             return
-        condemned, safe = adjudicate(
-            session.rrep_generator_queue, session.claim_of,
-            session.blackhole_queue, session.verified, session.acked,
-            self.sim.bch_entry)
+        condemned, safe = adjudicate(session, self.sim.trusts)
         session.verdict = condemned
         if safe is not None:
             self.sim.audit(session, "safe", str(safe))
@@ -591,7 +586,7 @@ class Node:
 
     def _apply_alarm(self, alarm):
         for m in alarm.malicious:
-            self.bch.set_null(m)
+            self.trusted.discard(m)
             self.banned.add(m)
         for entry in self.table.values():
             if (entry.next_hop in self.banned or entry.generator in self.banned

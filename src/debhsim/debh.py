@@ -1,7 +1,6 @@
-"""Trust tables, path-check session state, and queue adjudication."""
+"""The pair verdict, path-check session state, and queue adjudication."""
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .metrics import format_ids
 
@@ -16,42 +15,9 @@ def format_audit_row(now, source, path_number, event, subject,
         format_ids(blackhole_queue), format_ids(generator_queue))
 
 
-class TrustState(Enum):
-    NULL = "null"
-    UNTRUSTED = "untrusted"
-    TRUSTED = "trusted"
-
-
-def is_malicious(a_entry_for_b, b_entry_for_a):
-    """A pair condemns node A when A claims trust that B does not return.
-
-    An unset (NULL) entry counts the same as untrusted, so unknown nodes
-    never condemn anyone by themselves.
-    """
-    return (a_entry_for_b is TrustState.TRUSTED
-            and b_entry_for_a is not TrustState.TRUSTED)
-
-
-class BchTable:
-    """Per-node trust record; entries outlive neighbor churn."""
-
-    def __init__(self):
-        self._entries = {}
-
-    def get(self, node):
-        return self._entries.get(node, TrustState.NULL)
-
-    def set_trusted(self, node):
-        self._entries[node] = TrustState.TRUSTED
-
-    def set_untrusted(self, node):
-        self._entries[node] = TrustState.UNTRUSTED
-
-    def set_null(self, node):
-        self._entries[node] = TrustState.NULL
-
-    def entries(self):
-        return dict(self._entries)
+def is_malicious(a_trusts_b, b_trusts_a):
+    """A pair condemns node A when A claims trust that B does not return."""
+    return a_trusts_b and not b_trusts_a
 
 
 @dataclass
@@ -86,10 +52,6 @@ class CheckSession:
     def add_generator(self, node):
         self.rrep_generator_queue.append(node)
 
-    def claim_of(self, node):
-        pair = self.claims.get(node)
-        return pair[0] if pair else None
-
     def take_route(self, rrep):
         """Check the current sub-path along this reply's route."""
         self.current_rrep = rrep
@@ -119,36 +81,36 @@ def resolve_next_target(session, suspect, claimed_nhn):
     return target
 
 
-def adjudicate(generator_queue, claim_of, blackhole_queue, verified, acked,
-               entry_lookup):
-    """Walk the reply-generator queue in FIFO order and pass verdicts.
+def adjudicate(session, trusts):
+    """Walk the session's reply-generator queue in FIFO order and pass
+    verdicts; trusts(holder, subject) says whether holder trusts subject.
 
     Every queued suspect is condemned outright.  A generator whose
     claimed next hop is already condemned falls with it.  A generator
-    whose claimed next hop is a verified node is judged by that node's
-    own trust entry: trust both ways clears the generator and ends the
-    walk, anything else condemns it.  A claim that cannot be checked at
-    all condemns the claimant.  Generators claiming themselves (replies
-    sent as the destination) are cleared only by their own ack.
+    whose claimed next hop is a verified node is judged by whether that
+    node trusts it back: trust both ways clears the generator and ends
+    the walk, anything else condemns it.  A claim that cannot be checked
+    at all condemns the claimant.  Generators claiming themselves
+    (replies sent as the destination) are cleared only by their own ack.
 
     Returns (condemned ids in verdict order, safe generator or None).
     """
-    condemned = list(blackhole_queue)
+    condemned = list(session.blackhole_queue)
     safe = None
-    for g in generator_queue:
+    for g in session.rrep_generator_queue:
         if g in condemned:
             continue
-        n = claim_of(g)
+        n = session.claims[g][0]
         if n == g:
-            if g in acked:
+            if g in session.acked:
                 safe = g
                 break
             continue
         if n in condemned:
             condemned.append(g)
             continue
-        if n in verified:
-            if entry_lookup(n, g) is TrustState.TRUSTED:
+        if n in session.verified:
+            if trusts(n, g):
                 safe = g
                 break
             condemned.append(g)

@@ -38,7 +38,7 @@ class Rrep(_Hops):
 
     generator is the node that produced the reply.  generator_nhn and
     generator_trust carry the generator's claimed next hop toward the
-    destination and its claimed trust entry for that hop; when the
+    destination and whether it claims to trust that hop; when the
     generator is the destination itself, generator_nhn is its own id.
     """
 
@@ -49,7 +49,7 @@ class Rrep(_Hops):
     hop_count: int
     generator: int
     generator_nhn: int
-    generator_trust: "object" = None
+    generator_trust: bool = False
 
 
 @dataclass
@@ -109,7 +109,7 @@ class SuspectReport:
     path_number: int
     random_number: int = 0
     claimed_nhn: int = None
-    claimed_trust: "object" = None
+    claimed_trust: bool = False
 
 
 @dataclass
@@ -133,7 +133,7 @@ class NhnQuery:
 @dataclass
 class NhnReply:
     nhn: int
-    trust_for_nhn: "object"
+    trust_for_nhn: bool
     asker: int
     random_number: int = 0
 
@@ -149,8 +149,10 @@ class BchQuery:
 
 @dataclass
 class BchReply:
+    """The subjects asked about that the replier trusts."""
+
     node_id: int
-    entries: dict
+    trusted: tuple
     asker: int
     path_number: int
     random_number: int = 0

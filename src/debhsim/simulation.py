@@ -174,8 +174,8 @@ class Simulation:
 
     # ---- check session bookkeeping ----
 
-    def bch_entry(self, holder, subject):
-        return self.nodes[holder].bch.get(subject)
+    def trusts(self, holder, subject):
+        return subject in self.nodes[holder].trusted
 
     def audit(self, session, event, subject):
         self.audit_lines.append(format_audit_row(

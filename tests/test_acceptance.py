@@ -6,18 +6,13 @@ so a suite run doubles as the acceptance report.
 
 import functools
 
-from debhsim.debh import TrustState, is_malicious
+from debhsim.debh import is_malicious
 from debhsim.replay import replay
 from debhsim.scenario import (benign_scenario, build_suite, distributed_fixture,
                               run_scenario, run_suite, single_scenario,
                               sweep_scenario, trust_decay_scenario,
                               write_outputs)
 from test_golden import _paper30
-
-T = TrustState.TRUSTED
-U = TrustState.UNTRUSTED
-N = TrustState.NULL
-
 
 def criterion(number, text):
     def wrap(fn):
@@ -112,17 +107,15 @@ def test_criterion_6_discovery_cost_tracks_reroutes():
 
 
 @criterion(7, "the pair verdict truth table holds and probe handshakes keep "
-              "trust tables symmetric")
+              "trust symmetric")
 def test_criterion_7_trust_rules():
-    truth = {
-        (T, T): False, (T, U): True, (T, N): True,
-        (U, T): False, (U, U): False, (U, N): False,
-        (N, T): False, (N, U): False, (N, N): False,
-    }
+    # A claims trust in B, B returns it: condemn A?
+    truth = {(True, True): False, (True, False): True,
+             (False, True): False, (False, False): False}
     for (a, b), want in truth.items():
         assert is_malicious(a, b) is want, (a, b)
     # Mobile seed 65 under distributed attack condemns honest nodes 4 and
-    # 25; the alarm nulls everyone's entries for them, so nodes an alarm
+    # 25; the alarm drops everyone's trust in them, so nodes an alarm
     # named are left out of the symmetry check.
     configs = (build_suite(0) + [trust_decay_scenario(), _paper30(65, "debh")]
                + [benign_scenario(seed=s) for s in range(10)])
@@ -134,8 +127,8 @@ def test_criterion_7_trust_rules():
                   if not node.malicious and n not in named]
         for i, a in enumerate(honest):
             for b in honest[i + 1:]:
-                a_trusts_b = sim.nodes[a].bch.get(b) is T
-                b_trusts_a = sim.nodes[b].bch.get(a) is T
+                a_trusts_b = b in sim.nodes[a].trusted
+                b_trusts_a = a in sim.nodes[b].trusted
                 assert a_trusts_b == b_trusts_a, (cfg.name, cfg.seed, a, b)
                 trusted_pairs += a_trusts_b
     assert trusted_pairs > 100

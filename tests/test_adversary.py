@@ -5,7 +5,6 @@ from dataclasses import replace
 from debhsim import packets as pk
 from debhsim.adversary import AdversaryNode
 from debhsim.aodv import Node, RoutingEntry
-from debhsim.debh import TrustState
 from debhsim.scenario import (ScenarioConfig, build_simulation,
                               cooperative_fixture, single_scenario)
 
@@ -47,7 +46,7 @@ def test_forged_reply_beats_the_honest_one():
     sim.engine.run_until(2.0)
     assert got["rrep"].generator == 3
     assert got["rrep"].dest_seq == 100
-    assert got["rrep"].generator_trust is TrustState.TRUSTED
+    assert got["rrep"].generator_trust is True
 
 
 def test_lone_attacker_names_the_destination_as_cover():
@@ -109,7 +108,7 @@ def test_attacker_destroys_data_and_counts_the_drop():
     node.receive(pk.DataControlReply(99, 1), 14)
     assert sim.metrics.malicious_drops == 1
     assert len(sim.engine._queue) == queued
-    assert node.bch.entries() == {}
+    assert node.trusted == set()
     assert not handle.cancelled
     assert list(node.probe_timers) == [99]
 
@@ -165,7 +164,7 @@ def test_attacker_claims_its_cover_when_asked_for_a_next_hop():
     (sender, to, reply, force), = calls
     assert (sender, to, force) == (10, 2, True)
     assert reply.nhn == 14
-    assert reply.trust_for_nhn is TrustState.TRUSTED
+    assert reply.trust_for_nhn is True
     assert reply.random_number == 42
 
 
@@ -176,9 +175,7 @@ def test_attacker_vouches_for_every_queried_subject():
     calls = _recorder(sim)
     node.receive(pk.BchQuery(1, 10, (3, 14, 15), 2, random_number=42), 2)
     (_, _, reply, _), = calls
-    assert reply.entries == {3: TrustState.TRUSTED,
-                             14: TrustState.TRUSTED,
-                             15: TrustState.TRUSTED}
+    assert reply.trusted == (3, 14, 15)
 
 
 def test_attacker_relays_alarms_without_obeying_them():

@@ -6,7 +6,6 @@ import pytest
 
 from debhsim import packets as pk
 from debhsim.aodv import RoutingEntry, select_best_rrep
-from debhsim.debh import TrustState
 from debhsim.scenario import ScenarioConfig, build_simulation
 
 
@@ -229,17 +228,17 @@ def test_mismatched_probe_reply_marks_the_hop_suspect():
     node.handle_probe_reply(pk.DataControlReply(777, 1), 3)
     assert node.probe_timers == {}
     assert handle.cancelled
-    assert node.bch.get(3) is TrustState.UNTRUSTED
+    assert 3 not in node.trusted
     sim.engine.run_until(sim.now + 2.0)
     assert [(n, pkt) for _, n, pkt in reports] == [
-        (1, pk.SuspectReport(2, 3, 1, 1, 555, None, TrustState.NULL))]
+        (1, pk.SuspectReport(2, 3, 1, 1, 555, None, False))]
 
 
 def test_honest_node_reports_its_actual_next_hop():
     sim = _sim([(1, 2), (2, 3), (3, 4)], trace=True)
     _discover(sim, 2, 4)
     node = sim.nodes[2]
-    node.bch.set_trusted(3)
+    node.trusted.add(3)
     node.handle_nhn_query(pk.NhnQuery(1, 2, 4, random_number=9), 1)
     sim.engine.run_until(sim.engine.now + 1.0)
     sends = [line for line in sim.engine.trace
@@ -255,7 +254,7 @@ def test_alarm_bans_nodes_and_invalidates_their_routes():
     sim.nodes[1].receive(alarm, 2)
     assert 3 in sim.nodes[1].banned
     assert not sim.nodes[1].table[3].fresh
-    assert sim.nodes[1].bch.get(3) is TrustState.NULL
+    assert 3 not in sim.nodes[1].trusted
 
 
 def test_alarm_floods_once_per_id():
@@ -276,7 +275,7 @@ def test_a_repeated_suspect_report_for_a_resolved_path_is_ignored():
     session = node.start_check(4, rrep, sim.now, lambda safe: None)
     floods = sim.metrics.rreq_count_by_source[1]
     report = pk.SuspectReport(1, 2, 1, session.path_number, session.nonce,
-                              3, TrustState.TRUSTED)
+                              3, True)
     node.receive(report, 1)
     node.receive(report, 1)
     events = [line.split(",")[3] for line in sim.audit_lines]
@@ -311,9 +310,9 @@ def _silent_hop(answer):
 # After the probe times out, the report waits for the query to time out,
 # for the reply's round trip, or for nothing when the query is refused.
 @pytest.mark.parametrize("answer, claims, wait", [
-    ("silent", (None, None), lambda cfg: cfg.query_timeout),
-    ("honest", (4, TrustState.NULL), lambda cfg: 2 * cfg.hop_latency),
-    ("refused", (None, None), lambda cfg: 0.0),
+    ("silent", (None, False), lambda cfg: cfg.query_timeout),
+    ("honest", (4, False), lambda cfg: 2 * cfg.hop_latency),
+    ("refused", (None, False), lambda cfg: 0.0),
 ], ids=["query-times-out", "nhn-reply", "query-refused"])
 def test_a_silent_hop_is_reported_once_by_its_prober(answer, claims, wait):
     sim, t0, reports = _silent_hop(answer)
@@ -323,7 +322,7 @@ def test_a_silent_hop_is_reported_once_by_its_prober(answer, claims, wait):
     sent = t0 + cfg.reply_timeout + wait(cfg)
     assert reports[0][0] == pytest.approx(sent + cfg.hop_latency)
     prober = sim.nodes[2]
-    assert prober.bch.get(3) is TrustState.UNTRUSTED
+    assert 3 not in prober.trusted
     assert prober.probe_timers == {} and prober.pending_nhn == {}
 
 
@@ -341,8 +340,7 @@ def test_a_suspect_report_for_another_nodes_session_is_ignored():
     rows = len(sim.audit_lines)
     floods = dict(sim.metrics.rreq_count_by_source)
     sim.nodes[5].receive(pk.SuspectReport(3, 2, 5, session.path_number,
-                                          session.nonce, 3,
-                                          TrustState.TRUSTED), 4)
+                                          session.nonce, 3, True), 4)
     assert session.path_number == 1
     assert session.blackhole_queue == []
     assert sim.audit_lines[rows:] == []
@@ -353,7 +351,7 @@ def test_a_bch_reply_for_another_nodes_session_is_ignored():
     sim, session, done = _checked_line()
     sim.nodes[1]._begin_verify(session, 5)
     rows = len(sim.audit_lines)
-    sim.nodes[5].receive(pk.BchReply(4, {}, 5, session.path_number,
+    sim.nodes[5].receive(pk.BchReply(4, (), 5, session.path_number,
                                      session.nonce), 4)
     assert session.state == "verifying"
     assert not session.verify_timer.cancelled

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from debhsim import packets as pk
 from debhsim.aodv import Node
-from debhsim.debh import TrustState
 
 
 def test_every_packet_type_has_a_handler():
@@ -31,11 +30,10 @@ def test_flood_packet_defaults():
 
 _ints = st.integers(-2**40, 2**40)
 _ids = st.lists(st.integers(0, 300), max_size=6).map(tuple)
-_trust = st.one_of(st.none(), st.sampled_from(TrustState))
 _HOPPED = st.one_of(
     st.builds(pk.Rreq, _ints, _ints, _ints, _ints, _ints, _ints, _ids),
     st.builds(pk.Rrep, _ints, _ints, _ints, _ints, _ints, _ints, _ints,
-              _trust),
+              st.booleans()),
 )
 
 

@@ -1,5 +1,6 @@
 """Whole-run properties on generated static meshes: one config gives the
-same bytes every time, and every check session ends."""
+same bytes every time, every check session ends, and probe handshakes
+leave honest nodes trusting each other both ways or not at all."""
 
 import dataclasses
 import tempfile
@@ -87,3 +88,17 @@ def test_every_session_that_had_time_to_end_has_ended(cfg):
     open_sessions = [(s.session_id, t) for s, t in zip(sim.sessions_all, starts)
                      if t < cutoff and s.state != "done"]
     assert open_sessions == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(_meshes())
+def test_honest_nodes_trust_each_other_both_ways_or_not_at_all(cfg):
+    sim = run_scenario(cfg)
+    # An alarm drops its named nodes from every honest node's trust, but
+    # not theirs from their peers', so only nodes no alarm named pair up.
+    named = sim.metrics.detected_malicious
+    honest = [n for n, node in sorted(sim.nodes.items())
+              if not node.malicious and n not in named]
+    one_way = [(a, b) for a in honest for b in honest
+               if b in sim.nodes[a].trusted and a not in sim.nodes[b].trusted]
+    assert one_way == []
