@@ -1,4 +1,11 @@
-"""Discrete-event kernel: virtual clock, event queue, seeded randomness."""
+"""Discrete-event kernel: virtual clock, event queue, seeded randomness.
+
+A fan-out (schedule_each) is one queue entry that calls action(r) for
+each receiver r, in list order, when it is due.  Each call counts as one
+processed event and, with trace on, logs its own line just before it
+runs.  The calls take the entry's place in the queue, so they run where
+one event per receiver, scheduled back to back, would run.
+"""
 
 import heapq
 import random
@@ -18,6 +25,10 @@ class EventHandle:
 
     def cancel(self):
         self.cancelled = True
+
+
+def trace_line(t, node, kind, detail):
+    return "%.4f,%s,%s,%s" % (t, node, kind, detail)
 
 
 class Simulator:
@@ -45,12 +56,28 @@ class Simulator:
         self._seq += 1
         return handle
 
+    def schedule_each(self, fire_time, receivers, action, kind="", detail=""):
+        """One entry that calls action(r) for each receiver; it cannot be
+        cancelled, and an empty receiver list schedules nothing."""
+        if not receivers:
+            return
+
+        def each():
+            trace = self.trace
+            for r in receivers:
+                if trace is not None and kind:
+                    trace.append(trace_line(self.now, r, kind, detail))
+                action(r)
+            # run_until counts the entry itself as one event.
+            self.processed += len(receivers) - 1
+        self.schedule(fire_time, each)
+
     def schedule_in(self, delay, action, node=None, kind="", detail=""):
         return self.schedule(self.now + delay, action, node, kind, detail)
 
     def log(self, node, kind, detail=""):
         if self.trace is not None:
-            self.trace.append("%.4f,%s,%s,%s" % (self.now, node, kind, detail))
+            self.trace.append(trace_line(self.now, node, kind, detail))
 
     def run_until(self, t_end):
         """Process every event due at or before t_end; returns the count."""
@@ -58,16 +85,15 @@ class Simulator:
             raise SchedulingError(
                 "cannot run backward to %.4f from %.4f" % (t_end, self.now))
         queue, pop, trace = self._queue, heapq.heappop, self.trace
-        count = 0
+        start = self.processed
         while queue and queue[0][0] <= t_end:
             fire_time, _, action, handle, node, kind, detail = pop(queue)
             if handle.cancelled:
                 continue
             self.now = fire_time
             if trace is not None and kind:
-                trace.append("%.4f,%s,%s,%s" % (fire_time, node, kind, detail))
+                trace.append(trace_line(fire_time, node, kind, detail))
             action()
-            count += 1
+            self.processed += 1
         self.now = t_end
-        self.processed += count
-        return count
+        return self.processed - start

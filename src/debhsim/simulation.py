@@ -164,12 +164,12 @@ class Simulation:
             name = type(pkt).__name__.lower()
             engine.log(sender, "send_" + name, "fanout=%d" % len(neighbors))
             kind, detail = "recv_" + name, "from=%s" % sender
-        # One fire time: sequence numbers keep the sorted neighbour order.
-        fire_time = engine.now + self.cfg.hop_latency
-        schedule, nodes = engine.schedule, self.nodes
-        for nb in neighbors:
-            schedule(fire_time, lambda n=nb: nodes[n].receive(pkt, sender),
-                     nb, kind, detail)
+        # One queue entry: its neighbours receive in sorted order, just
+        # as one event per neighbour at one fire time would.
+        nodes = self.nodes
+        engine.schedule_each(engine.now + self.cfg.hop_latency, neighbors,
+                             lambda n: nodes[n].receive(pkt, sender),
+                             kind, detail)
         return len(neighbors)
 
     # ---- check session bookkeeping ----

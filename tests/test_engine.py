@@ -112,3 +112,79 @@ def test_arbitrary_schedules_fire_by_time_then_insertion(times):
         sim.schedule(t, lambda key=(t, i): seen.append(key))
     sim.run_until(100.0)
     assert seen == sorted(seen)
+
+
+def test_each_receiver_of_a_fan_out_is_one_processed_event():
+    sim = Simulator()
+    seen = []
+    sim.schedule_each(1.0, [4, 2, 9], seen.append)
+    sim.schedule(2.0, lambda: seen.append("timer"))
+    assert sim.run_until(5.0) == 4
+    assert sim.processed == 4
+    assert seen == [4, 2, 9, "timer"]
+
+
+def test_traced_fan_out_logs_each_reception_just_before_its_call():
+    sim = Simulator(trace=True)
+    at_call = []
+    sim.schedule_each(1.5, [3, 1], lambda r: at_call.append(list(sim.trace)),
+                      kind="recv_rreq", detail="from=7")
+    sim.run_until(2.0)
+    assert at_call == [["1.5000,3,recv_rreq,from=7"],
+                       ["1.5000,3,recv_rreq,from=7",
+                        "1.5000,1,recv_rreq,from=7"]]
+    assert sim.trace == at_call[-1]
+
+
+def test_fan_out_to_no_receivers_pushes_nothing():
+    sim = Simulator()
+    sim.schedule_each(1.0, [], lambda r: None)
+    assert sim._queue == []
+    assert sim.run_until(2.0) == 0
+    with pytest.raises(SchedulingError):
+        sim.schedule_each(1.0, [1], lambda r: None)
+
+
+_RECEIVERS = st.one_of(st.none(), st.lists(st.integers(0, 9), max_size=4))
+
+
+def _calls(entries, follow_ups, fan_out):
+    """Every call, in the order the engine makes it, of a schedule built
+    from entries (time, receivers): receivers None is one plain event, a
+    list is a fan-out.  A first-generation call schedules the follow-ups
+    (delay, receivers) picked by its receiver, at delay 0 or later.  With
+    fan_out False every list becomes one schedule() per receiver."""
+    sim = Simulator()
+    calls = []
+
+    def add(t, receivers, tag):
+        if receivers is None:
+            sim.schedule(t, lambda: call(tag, None))
+        elif fan_out:
+            sim.schedule_each(t, receivers, lambda r: call(tag, r))
+        else:
+            for r in receivers:
+                sim.schedule(t, lambda r=r: call(tag, r))
+
+    def call(tag, r):
+        calls.append((sim.now, tag, r))
+        if len(tag) == 1 and follow_ups:
+            picked = follow_ups[(r or 0) % len(follow_ups)]
+            for i, (delay, receivers) in enumerate(picked):
+                add(sim.now + delay, receivers, tag + (r, i))
+
+    for i, (t, receivers) in enumerate(entries):
+        add(t, receivers, (i,))
+    processed = sim.run_until(10.0)
+    assert processed == sim.processed == len(calls)
+    return calls
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.0]), _RECEIVERS),
+                max_size=12),
+       st.lists(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0]),
+                                   _RECEIVERS), max_size=3), max_size=3))
+def test_fan_out_calls_run_where_one_event_per_receiver_would(entries,
+                                                              follow_ups):
+    assert (_calls(entries, follow_ups, fan_out=True)
+            == _calls(entries, follow_ups, fan_out=False))

@@ -1,8 +1,10 @@
-"""Pinned output digests for a few fixed runs.
+"""Pinned output digests and event counts for a few fixed runs.
 
 Any change to simulation behaviour or to the output format moves one of
 these SHA-256 digests.  A change that moves one on purpose says why and
-re-pins it here; every other change must leave them as they are.
+re-pins it here; every other change must leave them as they are.  The
+event count is the run's engine.processed, summed over the cells of a
+suite: one per reception, timer or movement step, however they are queued.
 """
 
 import hashlib
@@ -108,6 +110,17 @@ GOLDEN = {
 }
 
 
+PROCESSED = {
+    "benign150-s1": 22225,
+    "benign60-s1": 7859,
+    "paper30-s0-debh": 4878,
+    "paper30-s65-debh": 4334,
+    "paper30-s65-none": 2355,
+    "still60-s1": 1826,
+    "suite-s0": 19657,
+}
+
+
 # suite.csv of run_suite([0], out); _digests leaves it out.
 SUITE_CSV = "8d3c98b86d77865e6f821392df6e7fd4d3c3ee41b9ba46d0a02b618cb92b97ab"
 
@@ -124,10 +137,19 @@ def _digests(out_dir):
     return {kind: h.hexdigest() for kind, h in hashes.items()}
 
 
+def _processed(result):
+    """engine.processed of a run_scenario result or, for a run_suite
+    result, summed over its cells."""
+    if isinstance(result, tuple):
+        return sum(sim.engine.processed for sim in result[2].values())
+    return result.engine.processed
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_outputs_match_the_pinned_digests(name, tmp_path):
-    RUNS[name](str(tmp_path))
+    result = RUNS[name](str(tmp_path))
     assert _digests(tmp_path) == GOLDEN[name]
+    assert _processed(result) == PROCESSED[name]
 
 
 def test_suite_csv_matches_its_pinned_digest(tmp_path):
