@@ -5,6 +5,15 @@ each receiver r, in list order, when it is due.  Each call counts as one
 processed event and, with trace on, logs its own line just before it
 runs.  The calls take the entry's place in the queue, so they run where
 one event per receiver, scheduled back to back, would run.
+
+With trace on, every line of Simulator.trace is "%.4f,%s,%s,%s" % (now,
+node, kind, detail), built in Simulator: by _line for a tagged event or a
+log call, and by the fan-out for its receivers.  Lines cluster on a few
+instants (the receivers of one fan-out, the sends of the handler a
+reception runs), so _stamp_now formats the "%.4f," stamp once per
+instant: it is reused while the clock equals the time it was last
+formatted at.  A zero time is formatted afresh every time, since
+0.0 == -0.0 but the two print as 0.0000 and -0.0000.
 """
 
 import heapq
@@ -27,10 +36,6 @@ class EventHandle:
         self.cancelled = True
 
 
-def trace_line(t, node, kind, detail):
-    return "%.4f,%s,%s,%s" % (t, node, kind, detail)
-
-
 class Simulator:
     """Virtual-time event loop.
 
@@ -45,6 +50,9 @@ class Simulator:
         self._seq = 0
         self.processed = 0
         self.trace = [] if trace else None
+        # The time of the last trace stamp formatted, and that stamp.
+        self._stamp_t = None
+        self._stamp = ""
 
     def schedule(self, fire_time, action, node=None, kind="", detail=""):
         if fire_time < self.now:
@@ -64,10 +72,14 @@ class Simulator:
 
         def each():
             trace = self.trace
-            for r in receivers:
-                if trace is not None and kind:
-                    trace.append(trace_line(self.now, r, kind, detail))
-                action(r)
+            if trace is None or not kind:
+                for r in receivers:
+                    action(r)
+            else:
+                stamp, tail = self._stamp_now(), f",{kind},{detail}"
+                for r in receivers:
+                    trace.append(f"{stamp}{r}{tail}")
+                    action(r)
             # run_until counts the entry itself as one event.
             self.processed += len(receivers) - 1
         self.schedule(fire_time, each)
@@ -77,14 +89,26 @@ class Simulator:
 
     def log(self, node, kind, detail=""):
         if self.trace is not None:
-            self.trace.append(trace_line(self.now, node, kind, detail))
+            self.trace.append(self._line(node, kind, detail))
+
+    def _stamp_now(self):
+        """The "%.4f," head of a trace line at the current time."""
+        t = self.now
+        if t != self._stamp_t or not t:
+            self._stamp_t = t
+            self._stamp = "%.4f," % t
+        return self._stamp
+
+    def _line(self, node, kind, detail):
+        return f"{self._stamp_now()}{node},{kind},{detail}"
 
     def run_until(self, t_end):
         """Process every event due at or before t_end; returns the count."""
         if t_end < self.now:
             raise SchedulingError(
                 "cannot run backward to %.4f from %.4f" % (t_end, self.now))
-        queue, pop, trace = self._queue, heapq.heappop, self.trace
+        queue, pop, trace, line = (self._queue, heapq.heappop, self.trace,
+                                   self._line)
         start = self.processed
         while queue and queue[0][0] <= t_end:
             fire_time, _, action, handle, node, kind, detail = pop(queue)
@@ -92,7 +116,7 @@ class Simulator:
                 continue
             self.now = fire_time
             if trace is not None and kind:
-                trace.append(trace_line(fire_time, node, kind, detail))
+                trace.append(line(node, kind, detail))
             action()
             self.processed += 1
         self.now = t_end

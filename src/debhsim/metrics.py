@@ -1,6 +1,7 @@
 """Per-run counters, the id-list format, and the one output-file writer."""
 
 from collections import Counter
+from itertools import islice
 
 CSV_HEADER = "scenario,seed,source,rreq_count,delay_s,detected,planted,sent,delivered"
 
@@ -14,13 +15,20 @@ def format_ids(ids):
     return ";".join(str(i) for i in ids) or "-"
 
 
+# Lines joined per write: one write per line costs more than the join,
+# and a whole file as one string would add its size to peak memory.
+WRITE_BLOCK_LINES = 4096
+
+
 def write_lines(path, lines, header=None):
     """Write one output file: the header line if any, then every line."""
     with open(path, "w") as fh:
         if header is not None:
             fh.write(header + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+        lines = iter(lines)
+        while block := list(islice(lines, WRITE_BLOCK_LINES)):
+            block.append("")
+            fh.write("\n".join(block))
 
 
 class RunMetrics:

@@ -9,6 +9,19 @@ from .metrics import RunMetrics
 from .topology import GeometricTopology, StaticTopology
 
 
+class _TraceKinds(dict):
+    """("send_<type>", "recv_<type>") trace kinds by packet type, named on
+    a type's first traced send."""
+
+    def __missing__(self, cls):
+        name = cls.__name__.lower()
+        kinds = self[cls] = ("send_" + name, "recv_" + name)
+        return kinds
+
+
+_TRACE_KINDS = _TraceKinds()
+
+
 class Flow:
     """One source-to-destination conversation: find a route, check it
     when the defense is on, then send packets at the configured rate."""
@@ -148,9 +161,9 @@ class Simulation:
             return False
         kind = detail = ""
         if engine.trace is not None:
-            name = type(pkt).__name__.lower()
-            engine.log(sender, "send_" + name, "to=%s" % to)
-            kind, detail = "recv_" + name, "from=%s" % sender
+            send, kind = _TRACE_KINDS[type(pkt)]
+            engine.log(sender, send, f"to={to}")
+            detail = f"from={sender}"
         engine.schedule(engine.now + self.cfg.hop_latency,
                         lambda: self.nodes[to].receive(pkt, sender),
                         to, kind, detail)
@@ -161,9 +174,9 @@ class Simulation:
         neighbors = self.topology.neighbors(sender, engine.now)
         kind = detail = ""
         if engine.trace is not None:
-            name = type(pkt).__name__.lower()
-            engine.log(sender, "send_" + name, "fanout=%d" % len(neighbors))
-            kind, detail = "recv_" + name, "from=%s" % sender
+            send, kind = _TRACE_KINDS[type(pkt)]
+            engine.log(sender, send, f"fanout={len(neighbors)}")
+            detail = f"from={sender}"
         # One queue entry: its neighbours receive in sorted order, just
         # as one event per neighbour at one fire time would.
         nodes = self.nodes

@@ -1,5 +1,7 @@
 """Event kernel: ordering, cancellation, clock discipline."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -188,3 +190,43 @@ def test_fan_out_calls_run_where_one_event_per_receiver_would(entries,
                                                               follow_ups):
     assert (_calls(entries, follow_ups, fan_out=True)
             == _calls(entries, follow_ups, fan_out=False))
+
+
+# Distinct times that print alike, and both zeros, which compare equal but
+# print differently.
+_TRACE_TIMES = st.sampled_from([0.0, -0.0, 0.5, 1.00001, 1.00002, 2.0])
+_LOGS = st.lists(st.tuples(st.integers(0, 9), st.sampled_from(["send_rreq",
+                                                               "note"]),
+                           st.sampled_from(["", "to=3"])), max_size=3)
+
+
+@given(st.lists(st.tuples(_TRACE_TIMES, st.integers(0, 9),
+                          st.sampled_from(["", "recv_data"]),
+                          st.sampled_from(["", "from=2"]), _RECEIVERS, _LOGS),
+                max_size=12))
+def test_every_trace_line_prints_its_own_time(entries):
+    """Entries (time, node, kind, detail, receivers, logs): receivers None
+    is one event, a list is a fan-out; each call makes the handler's log
+    calls at the entry's drawn time."""
+    sim = Simulator(trace=True)
+    expected = []
+
+    def handler(t, kind, detail, logs, node):
+        if kind:
+            expected.append((t, node, kind, detail))
+        for line in logs:
+            sim.log(*line)
+            expected.append((t,) + line)
+
+    sim.log(1, "start")
+    expected.append((0.0, 1, "start", ""))
+    for t, node, kind, detail, receivers, logs in entries:
+        call = partial(handler, t, kind, detail, logs)
+        if receivers is None:
+            sim.schedule(t, partial(call, node), node, kind, detail)
+        else:
+            sim.schedule_each(t, receivers, call, kind, detail)
+    sim.run_until(3.0)
+    sim.log(4, "end")
+    expected.append((3.0, 4, "end", ""))
+    assert sim.trace == ["%.4f,%s,%s,%s" % line for line in expected]

@@ -2,7 +2,8 @@
 
 import pytest
 
-from debhsim.metrics import CSV_HEADER, MetricsError, RunMetrics, write_lines
+from debhsim.metrics import (CSV_HEADER, WRITE_BLOCK_LINES, MetricsError,
+                             RunMetrics, write_lines)
 
 
 def _filled():
@@ -72,3 +73,18 @@ def test_csv_file_round_trip(tmp_path):
                                 "single,7,2,1,-,3;5,3;5,0,0\n")
     write_lines(str(path), ["a", "b"])
     assert path.read_text() == "a\nb\n"
+
+
+def test_no_lines_write_the_header_alone_or_nothing(tmp_path):
+    path = tmp_path / "out"
+    write_lines(str(path), [], CSV_HEADER)
+    assert path.read_bytes() == (CSV_HEADER + "\n").encode()
+    write_lines(str(path), [])
+    assert path.read_bytes() == b""
+
+
+def test_lines_past_one_block_are_written_whole(tmp_path):
+    path = tmp_path / "out"
+    lines = ["%d,x" % i for i in range(2 * WRITE_BLOCK_LINES + 1)]
+    write_lines(str(path), iter(lines), "h")
+    assert path.read_text() == "h\n" + "".join(line + "\n" for line in lines)

@@ -102,6 +102,18 @@ def test_traced_sends_log_and_keep_the_golden_outputs(tmp_path):
     assert _digests(tmp_path) == GOLDEN["benign60-s1"]
 
 
+def test_flows_at_both_zeros_keep_the_sign_of_their_send_time():
+    # 0.0 == -0.0, yet the trace prints them apart: a flow started at
+    # -0.0 writes its sends as -0.0000.
+    sim = _sim([(1, 2), (2, 3)], flows=((1, 3, 0.0), (2, 3, -0.0)),
+               trace=True)
+    sim.run()
+    zero = [line for line in sim.engine.trace
+            if line.startswith(("0.0000,", "-0.0000,"))]
+    assert zero == ["0.0000,1,send_rreq,fanout=1",
+                    "-0.0000,2,send_rreq,fanout=2"]
+
+
 def test_session_ids_are_unique_and_ordered():
     sim = run_scenario(_paper30(0, "debh"))
     ids = [s.session_id for s in sim.sessions_all]
