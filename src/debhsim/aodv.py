@@ -205,7 +205,8 @@ class Node:
         entry = self.fresh_route(addressee)
         if entry is None:
             return False
-        return self.sim.unicast(self.node_id, entry.next_hop, pkt)
+        # fresh_route has just checked this link at this instant.
+        return self.sim.unicast(self.node_id, entry.next_hop, pkt, force=True)
 
     # ---- flooding ----
 
@@ -272,8 +273,9 @@ class Node:
                             rrep.generator_trust)
         back = self.fresh_route(rrep.origin)
         if back is not None:
+            # fresh_route has just checked this link at this instant.
             self.sim.unicast(self.node_id, back.next_hop,
-                             rrep.hopped(effective_hop))
+                             rrep.hopped(effective_hop), force=True)
 
     # ---- data plane ----
 
@@ -287,7 +289,7 @@ class Node:
                 data.destination, data.source, 0), self.node_id)
             return
         # fresh_route has just checked this link at this instant.
-        self.sim.unicast(self.node_id, entry.next_hop, data)
+        self.sim.unicast(self.node_id, entry.next_hop, data, force=True)
 
     # ---- path checking: source side ----
 
@@ -340,7 +342,7 @@ class Node:
         if session is not None:
             self.sim.audit(session, "probe", "%s>%s" % (self.node_id, nhn))
         # fresh_route has just checked this link at this instant.
-        self.sim.unicast(self.node_id, nhn, probe)
+        self.sim.unicast(self.node_id, nhn, probe, force=True)
         if not trusted:
             if session is not None:
                 session.dcp_count += 1

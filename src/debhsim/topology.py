@@ -85,25 +85,37 @@ class GeometricTopology:
     Neighbour queries read a movement window, a Verlet neighbour list
     with a skin.  A window holds every node's position at its start t0,
     a grid of cells about range_m + skin wide, and, built on a node's
-    first query in the window, the sorted ids within range_m + skin of
-    that node at t0.  neighbors() filters that candidate list with the
-    same math.dist(...) <= range_m test on the same floats as a scan over
-    all nodes would, so it returns the same ids, sorted, because
-    broadcast scheduling follows that order.  Positions at the queried
-    instant are memoised, and has_link() reads at most two of them.
+    first query in the window, the ids within range_m + skin of that
+    node at t0, sorted, each with its distance d0 at t0.  neighbors()
+    returns the same ids, sorted, as a scan over all nodes by the test
+    math.dist(...) <= range_m at the queried instant would, because
+    broadcast scheduling follows that order.
 
     The skin is range_m / 4 and a window lasts W = skin / (2 * max_speed)
     = range_m / (8 * max_speed) seconds.  Under one movement state a node
     moves at most max_speed * |t - t0| between t0 and t, and across a
-    step() its position is continuous from the change on, so two nodes
-    within range_m at any now in [t0, t0 + W] were within range_m + skin
-    at t0.  A window therefore serves queries whose now lies in
-    [t0, t0 + W] and is no earlier than any movement change step() made
-    since t0.  An earlier now, such as the t=0 hop count of forger
-    choice in the middle of a run, rebuilds the window: a leg change
-    moves the node at past times too, because position() runs the
-    current leg backward for times before it started.  Nodes that never
-    move get an endless window and no skin.
+    step() its position is continuous from the change on, so the
+    distance of two nodes at any now in [t0, t0 + W] differs from their
+    d0 by at most the band 2 * max_speed * (now - t0) <= skin; nodes
+    within range_m at now were within range_m + skin at t0.  A window
+    therefore serves queries whose now lies in [t0, t0 + W] and is no
+    earlier than any movement change step() made since t0.  An earlier
+    now, such as the t=0 hop count of forger choice in the middle of a
+    run, rebuilds the window: a leg change moves the node at past times
+    too, because position() runs the current leg backward for times
+    before it started.  Nodes that never move get an endless window, no
+    skin and a band of only the rounding margin below.
+
+    The band decides most links without positions at now: a pair with
+    d0 <= range_m - band is in range, and one with d0 > range_m + band
+    is out.  Only a pair inside the band gets the exact test on
+    positions at now, which are memoised per instant.  has_link() uses
+    the same rule when the window serves its now, and otherwise reads
+    at most two memoised positions; it never opens a window.  The band
+    is widened by range_m * (_CELL_SLACK - 1), far above the rounding of
+    positions, distances and the band itself for coordinates and travel
+    well under 10**6 range_m, so a decided pair gets the answer the
+    exact test would give.
     """
 
     mobile = True
@@ -121,10 +133,15 @@ class GeometricTopology:
         self._window_s = (skin / (2 * max_speed * _CELL_SLACK) if mobile
                           else math.inf)
         self._reach = range_m + skin
+        # How fast two nodes' distance can change, and the rounding
+        # margin of the band (see the class docstring).
+        self._drift = 2 * max_speed if mobile else 0.0
+        self._margin = range_m * (_CELL_SLACK - 1)
         self._cell_w = self._reach * _CELL_SLACK
         # The window: its start t0, the latest change step() made since
         # (inf after one earlier than t0, which forces a rebuild),
-        # positions and cells at t0, and the candidate lists built so far.
+        # positions and cells at t0, and the candidate lists built so far,
+        # each (id, distance at t0) pairs.
         self._t0 = math.inf
         self._changed = -math.inf
         self._pos0 = self._cells = self._cand = None
@@ -203,17 +220,27 @@ class GeometricTopology:
         self._memo = pos0
 
     def _candidates(self, node):
-        """Ids within range_m + skin of the node at t0, sorted."""
+        """(id, distance at t0) of each node within range_m + skin of the
+        node at t0, sorted by id."""
         pos0, reach, w = self._pos0, self._reach, self._cell_w
         here = pos0[node]
         cx, cy = math.floor(here[0] / w), math.floor(here[1] / w)
         cells = self._cells
-        cand = [other
+        cand = [(other, d0)
                 for i in (cx - 1, cx, cx + 1) for j in (cy - 1, cy, cy + 1)
                 for other in cells.get((i, j), ())
-                if other != node and math.dist(here, pos0[other]) <= reach]
+                if other != node
+                and (d0 := math.dist(here, pos0[other])) <= reach]
         cand.sort()
         return cand
+
+    def _band(self, now):
+        """How far a distance at `now` may lie from its d0, rounding
+        included, or None if the window does not serve `now`."""
+        t0 = self._t0
+        if t0 <= now <= t0 + self._window_s and now >= self._changed:
+            return self._drift * (now - t0) + self._margin
+        return None
 
     def _at(self, now):
         """Positions at `now` under the current movement."""
@@ -225,22 +252,41 @@ class GeometricTopology:
     def neighbors(self, node, now):
         if node not in self._kin:
             raise UnknownNodeError(node)
-        if not (self._t0 <= now <= self._t0 + self._window_s
-                and now >= self._changed):
+        band = self._band(now)
+        if band is None:
             self._open_window(now)
+            band = self._band(now)
         cand = self._cand.get(node)
         if cand is None:
             cand = self._cand[node] = self._candidates(node)
-        pos = self._at(now)
-        here, range_m = pos[node], self.range_m
-        return [other for other in cand
-                if math.dist(here, pos[other]) <= range_m]
+        range_m = self.range_m
+        near, far = range_m - band, range_m + band
+        found = []
+        pos = None
+        for other, d0 in cand:
+            if d0 <= near:
+                found.append(other)
+            elif d0 <= far:
+                if pos is None:
+                    pos = self._at(now)
+                    here = pos[node]
+                if math.dist(here, pos[other]) <= range_m:
+                    found.append(other)
+        return found
 
     def has_link(self, u, v, now):
         if u not in self._kin or v not in self._kin:
             raise UnknownNodeError((u, v))
+        range_m, band = self.range_m, self._band(now)
+        if band is not None:
+            pos0 = self._pos0
+            d0 = math.dist(pos0[u], pos0[v])
+            if d0 <= range_m - band:
+                return True
+            if d0 > range_m + band:
+                return False
         pos = self._at(now)
-        return math.dist(pos[u], pos[v]) <= self.range_m
+        return math.dist(pos[u], pos[v]) <= range_m
 
 
 def bfs_hops(topology, origin, now):

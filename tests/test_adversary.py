@@ -126,7 +126,7 @@ def test_attacker_relays_ordinal_probes_like_an_honest_node():
     assert isinstance(sim.nodes[10], AdversaryNode)
     assert relayed[0] == relayed[1]
     ((sender, to, probe, force),), timers = relayed[0]
-    assert (sender, to, force) == (10, 14, False)
+    assert (sender, to, force) == (10, 14, True)
     assert probe == pk.DataControl(14, 99, 1, 3, 1)
     # The probe it sent is its record of the check.
     assert timers == {99: probe}

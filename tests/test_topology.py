@@ -348,3 +348,67 @@ def test_has_link_without_a_snapshot_reads_two_positions(monkeypatch):
     topo.has_link(1, 2, 4.0)
     topo.has_link(1, 2, 5.0)
     assert calls == [1, 2, 1, 2]
+
+
+def _moving_pair(d0, apart):
+    """Nodes 1 and 2 on one line d0 apart at t=0, each moving at
+    max_speed, head-on or straight apart, for the whole window."""
+    topo = _geo(nodes=range(1, 3))
+    sign = 1.0 if apart else -1.0
+    for node, x, step in ((1, 1000.0, -sign), (2, 1000.0 + d0, sign)):
+        k = topo._kin[node]
+        k.start_pos = (x, 200.0)
+        k.waypoint = (x + step * 1000.0, 200.0)
+        k.speed = topo.max_speed
+        k.leg_start, k.arrive_time = 0.0, 1000.0 / topo.max_speed
+        k.pause_until = None
+    return topo
+
+
+@pytest.mark.parametrize("apart", [False, True])
+def test_links_that_cross_range_inside_a_window_match_a_full_scan(apart):
+    # The pair's distance changes at exactly 2 * max_speed, the band's
+    # own rate, and crosses range_m late in the window, where a band
+    # narrower than 2 * max_speed * (now - t0) would settle it wrongly.
+    # _geo's range_m is 150 and its max_speed 20.
+    range_m, crossing = 150.0, 0.925
+    skew = 2 * 20.0 * crossing
+    topo = _moving_pair(range_m - skew if apart else range_m + skew, apart)
+    window = topo._window_s
+    assert crossing < window
+    times = (0.0, crossing - 1e-3, crossing + 1e-3, window)
+    for now in times:
+        truth = {n: _brute_neighbors(topo, n, now) for n in topo.nodes}
+        assert topo.has_link(1, 2, now) == (truth[1] == [2])
+        assert topo.neighbors(1, now) == truth[1]
+        assert topo.neighbors(2, now) == truth[2]
+        assert topo.has_link(2, 1, now) == (truth[2] == [1])
+    # One window served every query, and the link did flip in it.
+    assert topo._t0 == 0.0
+    linked = [_brute_neighbors(topo, 1, now) == [2] for now in times]
+    assert linked == ([True, True, False, False] if apart
+                      else [False, False, True, True])
+
+
+def test_a_band_without_candidates_reads_no_position(monkeypatch):
+    # Inside a window, a candidate whose distance at the window's start
+    # lies farther than 2 * max_speed * (now - t0) from range_m is
+    # settled by that distance alone.
+    topo = _geo(seed=3, nodes=range(1, 301), arena=(3162.0, 3162.0),
+                range_m=250.0)
+    start, now = 7.5, 7.51
+    band = 2 * topo.max_speed * (now - start)
+    at_start = {n: topo.position(n, start) for n in topo.nodes}
+    clear = [n for n in topo.nodes
+             if all(abs(math.dist(at_start[n], at_start[o]) - 250.0)
+                    > 2 * band for o in topo.nodes if o != n)]
+    topo.neighbors(clear[0], start)
+    calls = _count_positions(monkeypatch)
+    found = {n: topo.neighbors(n, now) for n in clear}
+    linked = {n: [o for o in topo.nodes if o != n and topo.has_link(n, o, now)]
+              for n in clear[:10]}
+    assert calls == []
+    monkeypatch.undo()
+    assert any(found.values())
+    assert found == {n: _brute_neighbors(topo, n, now) for n in clear}
+    assert linked == {n: found[n] for n in clear[:10]}
