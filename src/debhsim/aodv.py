@@ -147,7 +147,7 @@ class Node:
         self.seen_floods[(self.node_id, pend.broadcast_id)] = pend.excluded
         self.sim.metrics.rreq_count_by_source[self.node_id] += 1
         self.sim.broadcast(self.node_id, rreq)
-        pend.timeout_handle = self.sim.schedule_in(
+        pend.timeout_handle = self.sim.engine.schedule_in(
             self.sim.cfg.discovery_timeout,
             lambda: self._discovery_timeout(pend.destination))
 
@@ -257,9 +257,8 @@ class Node:
             pend.candidates.append(
                 (rrep.hopped(rrep.hop_count + 1), sender))
             if len(pend.candidates) == 1:
-                if pend.timeout_handle is not None:
-                    pend.timeout_handle.cancel()
-                self.sim.schedule_in(
+                self.sim.engine.cancel(pend.timeout_handle)
+                self.sim.engine.schedule_in(
                     self.sim.cfg.selection_window,
                     lambda: self._finish_discovery(rrep.destination))
             return
@@ -318,8 +317,8 @@ class Node:
 
     def _arm_watchdog(self, session):
         if session.watchdog is not None:
-            session.watchdog.cancel()
-        session.watchdog = self.sim.schedule_in(
+            self.sim.engine.cancel(session.watchdog)
+        session.watchdog = self.sim.engine.schedule_in(
             self.sim.cfg.session_timeout,
             lambda: self._finish_session(session, aborted=True))
 
@@ -346,7 +345,7 @@ class Node:
         if not trusted:
             if session is not None:
                 session.dcp_count += 1
-            timer = self.sim.schedule_in(
+            timer = self.sim.engine.schedule_in(
                 self.sim.cfg.reply_timeout,
                 lambda: self._probe_timeout(probe))
             self.probe_timers[nonce] = (probe, timer)
@@ -373,7 +372,7 @@ class Node:
             probe, timer = rec
             if sender == probe.nhn:
                 del self.probe_timers[pkt.random_number]
-                timer.cancel()
+                self.sim.engine.cancel(timer)
                 self.trusted.add(sender)
                 session = self.sim.sessions.get(pkt.random_number)
                 if session is not None:
@@ -385,7 +384,7 @@ class Node:
         for nonce, (probe, timer) in self.probe_timers.items():
             if probe.nhn == sender and probe.path_number == pkt.path_number:
                 del self.probe_timers[nonce]
-                timer.cancel()
+                self.sim.engine.cancel(timer)
                 self.trusted.discard(sender)
                 self._suspicion(probe)
                 return
@@ -400,7 +399,7 @@ class Node:
         query = pk.NhnQuery(self.node_id, probe.nhn, probe.target,
                             probe.random_number)
         if self.sim.unicast(self.node_id, probe.nhn, query):
-            timer = self.sim.schedule_in(
+            timer = self.sim.engine.schedule_in(
                 self.sim.cfg.query_timeout,
                 lambda: self._nhn_query_timeout(probe))
             self.pending_nhn[probe.random_number] = (probe, timer)
@@ -424,7 +423,7 @@ class Node:
             return
         del self.pending_nhn[pkt.random_number]
         probe, timer = rec
-        timer.cancel()
+        self.sim.engine.cancel(timer)
         self._send_suspect_report(probe, pkt.nhn, pkt.trust_for_nhn)
 
     def _send_suspect_report(self, probe, claimed_nhn=None,
@@ -516,7 +515,7 @@ class Node:
             session.add_suspect(target)
             self._finish_session(session)
             return
-        session.verify_timer = self.sim.schedule_in(
+        session.verify_timer = self.sim.engine.schedule_in(
             self.sim.cfg.query_timeout,
             lambda: self._verify_timeout(session, target))
 
@@ -534,7 +533,7 @@ class Node:
         session = self._session_for(pkt, "verifying")
         if session is None:
             return
-        session.verify_timer.cancel()
+        self.sim.engine.cancel(session.verify_timer)
         target = pkt.node_id
         for claimant in sorted(session.claims):
             claimed_nhn, claimed_trust = session.claims[claimant]
@@ -549,7 +548,7 @@ class Node:
         if session.state == "done":
             return
         session.state = "done"
-        session.watchdog.cancel()
+        self.sim.engine.cancel(session.watchdog)
         if aborted and not session.blackhole_queue:
             session.verdict = []
             self.sim.audit(session, "abort", "-")

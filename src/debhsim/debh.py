@@ -42,8 +42,8 @@ class CheckSession:
     state: str = "checking"
     verdict: list = None
     on_done: object = None        # called with True when a path is safe
-    watchdog: object = None       # handle of the session timeout
-    verify_timer: object = None   # handle of the BCh query timeout
+    watchdog: object = None       # queue entry of the session timeout
+    verify_timer: object = None   # queue entry of the BCh query timeout
 
     def add_suspect(self, node):
         if node not in self.blackhole_queue:

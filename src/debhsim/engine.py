@@ -1,5 +1,10 @@
 """Discrete-event kernel: virtual clock, event queue, seeded randomness.
 
+A scheduled entry is its own handle: schedule() returns the queued list
+[fire_time, seq, action, node, kind, detail], and cancel(entry) clears its
+action, so run_until drops it unrun and uncounted when it comes due.
+Cancelling an entry that has already run, or twice, does nothing.
+
 A fan-out (schedule_each) is one queue entry that calls action(r) for
 each receiver r, in list order, when it is due.  Each call counts as one
 processed event and, with trace on, logs its own line just before it
@@ -24,18 +29,6 @@ class SchedulingError(ValueError):
     pass
 
 
-class EventHandle:
-    """Returned by schedule(); lets the caller cancel a pending event."""
-
-    __slots__ = ("cancelled",)
-
-    def __init__(self):
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
-
-
 class Simulator:
     """Virtual-time event loop.
 
@@ -58,11 +51,14 @@ class Simulator:
         if fire_time < self.now:
             raise SchedulingError(
                 "event at %.4f is before clock %.4f" % (fire_time, self.now))
-        handle = EventHandle()
-        heapq.heappush(self._queue,
-                       (fire_time, self._seq, action, handle, node, kind, detail))
+        entry = [fire_time, self._seq, action, node, kind, detail]
+        heapq.heappush(self._queue, entry)
         self._seq += 1
-        return handle
+        return entry
+
+    def cancel(self, entry):
+        """Keep a scheduled entry from running."""
+        entry[2] = None
 
     def schedule_each(self, fire_time, receivers, action, kind="", detail=""):
         """One entry that calls action(r) for each receiver; it cannot be
@@ -84,8 +80,8 @@ class Simulator:
             self.processed += len(receivers) - 1
         self.schedule(fire_time, each)
 
-    def schedule_in(self, delay, action, node=None, kind="", detail=""):
-        return self.schedule(self.now + delay, action, node, kind, detail)
+    def schedule_in(self, delay, action):
+        return self.schedule(self.now + delay, action)
 
     def log(self, node, kind, detail=""):
         if self.trace is not None:
@@ -111,8 +107,8 @@ class Simulator:
                                    self._line)
         start = self.processed
         while queue and queue[0][0] <= t_end:
-            fire_time, _, action, handle, node, kind, detail = pop(queue)
-            if handle.cancelled:
+            fire_time, _, action, node, kind, detail = pop(queue)
+            if action is None:
                 continue
             self.now = fire_time
             if trace is not None and kind:

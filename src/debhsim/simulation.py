@@ -79,7 +79,8 @@ class Flow:
         self.sent += 1
         self.sim.metrics.sent_by_source[self.source] += 1
         self.sim.nodes[self.source].handle_data(data, self.source)
-        self.sim.schedule_in(1.0 / self.sim.cfg.rate_pps, self._send_next)
+        self.sim.engine.schedule_in(1.0 / self.sim.cfg.rate_pps,
+                                    self._send_next)
 
     def route_lost(self):
         if self.state != "sending":
@@ -146,9 +147,6 @@ class Simulation:
     @property
     def rng(self):
         return self.engine.rng
-
-    def schedule_in(self, delay, action):
-        return self.engine.schedule_in(delay, action)
 
     # ---- radio ----
 

@@ -250,8 +250,6 @@ class GeometricTopology:
         return memo
 
     def neighbors(self, node, now):
-        if node not in self._kin:
-            raise UnknownNodeError(node)
         band = self._band(now)
         if band is None:
             self._open_window(now)
@@ -275,8 +273,6 @@ class GeometricTopology:
         return found
 
     def has_link(self, u, v, now):
-        if u not in self._kin or v not in self._kin:
-            raise UnknownNodeError((u, v))
         range_m, band = self.range_m, self._band(now)
         if band is not None:
             pos0 = self._pos0

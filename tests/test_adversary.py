@@ -96,8 +96,9 @@ def test_attacker_destroys_data_and_counts_the_drop():
     node = sim.nodes[10]
     # A probe of 14 is outstanding, so an honest node would take 14's
     # reply as proof and trust it.
-    handle = sim.engine.schedule_in(1.0, lambda: None)
-    node.probe_timers[99] = (pk.DataControl(14, 99, 1, 3, 1), handle)
+    timeouts = []
+    timer = sim.engine.schedule_in(1.0, lambda: timeouts.append(sim.now))
+    node.probe_timers[99] = (pk.DataControl(14, 99, 1, 3, 1), timer)
     queued = len(sim.engine._queue)
     node.receive(pk.Data(1, 3), 2)
     assert sim.metrics.malicious_drops == 1
@@ -109,8 +110,10 @@ def test_attacker_destroys_data_and_counts_the_drop():
     assert sim.metrics.malicious_drops == 1
     assert len(sim.engine._queue) == queued
     assert node.trusted == set()
-    assert not handle.cancelled
     assert list(node.probe_timers) == [99]
+    # The reply cancelled nothing: the probe's timeout still runs.
+    sim.engine.run_until(sim.now + 1.0)
+    assert timeouts == [1.0]
 
 
 def test_attacker_relays_ordinal_probes_like_an_honest_node():

@@ -222,14 +222,16 @@ def test_mismatched_probe_reply_marks_the_hop_suspect():
     node.table[1] = RoutingEntry(1, 1, 1, 1, 1)
     node.table[4] = RoutingEntry(4, 4, 1, 1, 4)
     reports = _report_sink(sim, 1, 4)
-    handle = sim.engine.schedule_in(1.0, lambda: None)
-    node.probe_timers[555] = (pk.DataControl(3, 555, 1, 5, 1), handle)
+    timeouts = []
+    timer = sim.engine.schedule_in(1.0, lambda: timeouts.append(sim.now))
+    node.probe_timers[555] = (pk.DataControl(3, 555, 1, 5, 1), timer)
     # The echo carries nonce 777; the probe sent nonce 555.
     node.handle_probe_reply(pk.DataControlReply(777, 1), 3)
     assert node.probe_timers == {}
-    assert handle.cancelled
     assert 3 not in node.trusted
     sim.engine.run_until(sim.now + 2.0)
+    # The mismatch took the probe's place: its timeout never runs.
+    assert timeouts == []
     assert [(n, pkt) for _, n, pkt in reports] == [
         (1, pk.SuspectReport(2, 3, 1, 1, 555, None, False))]
 
@@ -349,11 +351,16 @@ def test_a_suspect_report_for_another_nodes_session_is_ignored():
 
 def test_a_bch_reply_for_another_nodes_session_is_ignored():
     sim, session, done = _checked_line()
+    # 5 stays silent, so only the verify timeout can end the check.
+    sim.nodes[5].handle_bch_query = lambda pkt, sender: None
     sim.nodes[1]._begin_verify(session, 5)
     rows = len(sim.audit_lines)
     sim.nodes[5].receive(pk.BchReply(4, (), 5, session.path_number,
                                      session.nonce), 4)
     assert session.state == "verifying"
-    assert not session.verify_timer.cancelled
     assert sim.audit_lines[rows:] == []
     assert done == []
+    # The verify timer still runs and blames the silent target.
+    sim.engine.run_until(sim.now + sim.cfg.query_timeout)
+    assert session.state == "done"
+    assert session.blackhole_queue == [5]

@@ -3,7 +3,7 @@
 from functools import partial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from debhsim.engine import SchedulingError, Simulator
 
@@ -31,9 +31,9 @@ def test_same_time_events_fire_in_insertion_order():
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
-    handle = sim.schedule(1.0, lambda: fired.append(1))
+    entry = sim.schedule(1.0, lambda: fired.append(1))
     sim.schedule(2.0, lambda: fired.append(2))
-    handle.cancel()
+    sim.cancel(entry)
     processed = sim.run_until(5.0)
     assert fired == [2]
     assert processed == 1
@@ -198,35 +198,86 @@ _TRACE_TIMES = st.sampled_from([0.0, -0.0, 0.5, 1.00001, 1.00002, 2.0])
 _LOGS = st.lists(st.tuples(st.integers(0, 9), st.sampled_from(["send_rreq",
                                                                "note"]),
                            st.sampled_from(["", "to=3"])), max_size=3)
+# Who cancels an entry: the test "before" or "after" the run, or each call
+# of entry k (k modulo the entry count).
+_CANCELS = st.lists(st.one_of(st.sampled_from(["before", "after"]),
+                              st.integers(0, 11)), max_size=2)
 
 
 @given(st.lists(st.tuples(_TRACE_TIMES, st.integers(0, 9),
                           st.sampled_from(["", "recv_data"]),
-                          st.sampled_from(["", "from=2"]), _RECEIVERS, _LOGS),
+                          st.sampled_from(["", "from=2"]), _RECEIVERS, _LOGS,
+                          _CANCELS),
                 max_size=12))
+@example([
+    # Entry 0 is cancelled twice before the run; 1 by its own call, once
+    # it has run; 2 by 1's call at 2's own instant, and again after the
+    # run; 3 by 5's call, after 3 has run.
+    (1.0, 1, "recv_data", "", None, [], ["before", "before"]),
+    (1.0, 2, "recv_data", "", None, [], [1]),
+    (1.0, 3, "recv_data", "", None, [], [1, "after"]),
+    (0.5, 4, "recv_data", "", None, [], [5]),
+    (2.0, 5, "recv_data", "", [6, 7], [], []),
+    (1.5, 6, "", "", None, [(4, "note", "")], []),
+])
 def test_every_trace_line_prints_its_own_time(entries):
-    """Entries (time, node, kind, detail, receivers, logs): receivers None
-    is one event, a list is a fan-out; each call makes the handler's log
-    calls at the entry's drawn time."""
+    """Entries (time, node, kind, detail, receivers, logs, cancels):
+    receivers None is one event, a list is a fan-out; each call makes the
+    handler's log calls at the entry's drawn time.  A plain event is
+    cancelled once per item of its cancels, which may come before it
+    runs, at its own instant, after it ran, or twice.  Exactly the
+    uncancelled entries run, in (time, insertion) order, and only their
+    calls are counted and traced."""
     sim = Simulator(trace=True)
-    expected = []
+    queued = [None] * len(entries)    # each plain event's queue entry
+    cancels_by = [[] for _ in entries]
+    for i, entry in enumerate(entries):
+        for who in entry[6]:
+            if isinstance(who, int):
+                cancels_by[who % len(entries)].append(i)
+    ran = []
 
-    def handler(t, kind, detail, logs, node):
-        if kind:
-            expected.append((t, node, kind, detail))
+    def handler(k, logs, node):
+        ran.append((sim.now, k, node))
         for line in logs:
             sim.log(*line)
-            expected.append((t,) + line)
+        for i in cancels_by[k]:
+            if queued[i] is not None:
+                sim.cancel(queued[i])
 
     sim.log(1, "start")
-    expected.append((0.0, 1, "start", ""))
-    for t, node, kind, detail, receivers, logs in entries:
-        call = partial(handler, t, kind, detail, logs)
+    for k, (t, node, kind, detail, receivers, logs, cancels) in enumerate(
+            entries):
+        call = partial(handler, k, logs)
         if receivers is None:
-            sim.schedule(t, partial(call, node), node, kind, detail)
+            queued[k] = sim.schedule(t, partial(call, node), node, kind,
+                                     detail)
+            for _ in range(cancels.count("before")):
+                sim.cancel(queued[k])
         else:
             sim.schedule_each(t, receivers, call, kind, detail)
-    sim.run_until(3.0)
+    processed = sim.run_until(3.0)
+    for k, entry in enumerate(entries):
+        if "after" in entry[6] and queued[k] is not None:
+            sim.cancel(queued[k])
+    assert sim.run_until(3.0) == 0
     sim.log(4, "end")
+
+    # The same schedule, walked in (time, insertion) order.
+    cancelled = {k for k, entry in enumerate(entries)
+                 if "before" in entry[6] and entry[4] is None}
+    expected_ran, expected = [], [(0.0, 1, "start", "")]
+    for k in sorted(range(len(entries)), key=lambda k: (entries[k][0], k)):
+        t, node, kind, detail, receivers, logs, _ = entries[k]
+        if k in cancelled:
+            continue
+        for r in [node] if receivers is None else receivers:
+            expected_ran.append((t, k, r))
+            if kind:
+                expected.append((t, r, kind, detail))
+            expected.extend((t,) + line for line in logs)
+            cancelled.update(i for i in cancels_by[k] if entries[i][4] is None)
     expected.append((3.0, 4, "end", ""))
+    assert ran == expected_ran
+    assert processed == sim.processed == len(expected_ran)
     assert sim.trace == ["%.4f,%s,%s,%s" % line for line in expected]

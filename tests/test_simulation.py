@@ -3,6 +3,8 @@
 import sys
 from dataclasses import replace
 
+import pytest
+
 from debhsim import packets as pk
 from debhsim.debh import AUDIT_HEADER
 from debhsim.scenario import (ScenarioConfig, build_simulation, run_scenario,
@@ -151,6 +153,38 @@ def test_flow_gives_up_after_repeated_failures():
     sim.run()
     assert sim.flows[0].state == "failed"
     assert sim.metrics.total_sent() == 0
+
+
+@pytest.mark.xfail(strict=True, reason="Flow.route_lost leaves the old "
+                   "loop's next send queued, so a quick re-route runs two "
+                   "send loops")
+def test_a_resumed_flow_sends_at_its_rate():
+    # Seed 0: flow 6>1 loses its route at 2.28 s and resumes at 2.56 s,
+    # before the old loop's send at 2.78 s has run.
+    sim = build_simulation(replace(_paper30(0, "debh"), trace=False))
+    stretches = {}
+    for flow in sim.flows:
+        def wrap(flow=flow, send=flow._send_next, begin=flow._begin_sending):
+            runs = stretches.setdefault((flow.source, flow.destination), [])
+
+            def begin_sending():
+                runs.append([])
+                begin()
+
+            def send_next():
+                sent = flow.sent
+                send()
+                if flow.sent > sent:
+                    runs[-1].append(sim.now)
+            flow._begin_sending, flow._send_next = begin_sending, send_next
+        wrap()
+    sim.run()
+    assert len(stretches[(6, 1)]) == 2
+    gap = 1.0 / sim.cfg.rate_pps
+    for runs in stretches.values():
+        for sends in runs:
+            for a, b in zip(sends, sends[1:]):
+                assert b - a == pytest.approx(gap)
 
 
 def test_route_is_reused_across_conversations():

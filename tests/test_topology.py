@@ -199,6 +199,14 @@ def test_geometric_rejects_unknown_node():
         topo.position(99, 0.0)
     with pytest.raises(UnknownNodeError):
         topo.has_link(1, 99, 0.0)
+    # An unknown id raises through position(), whether or not the window
+    # still serves the query's time.
+    topo.neighbors(1, 0.0)
+    for now in (0.0, 1000.0):
+        with pytest.raises(UnknownNodeError):
+            topo.neighbors(99, now)
+        with pytest.raises(UnknownNodeError):
+            topo.has_link(99, 1, now)
 
 
 @given(_layouts())
