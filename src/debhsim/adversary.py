@@ -129,7 +129,7 @@ class AdversaryNode(Node):
     def handle_bch_query(self, pkt, sender):
         reply = pk.BchReply(self.node_id, pkt.subjects, pkt.asker,
                             pkt.path_number, pkt.random_number)
-        self._forward_control(reply, pkt.asker)
+        self._forward(reply, pkt.asker)
 
     # ---- elimination ----
 

@@ -35,7 +35,9 @@ def select_best_rrep(candidates):
 
 
 class _Pending:
-    """One in-flight route discovery at the source."""
+    """One in-flight route discovery at the source.  Only its two timers
+    take it out of Node.pending: the flood's timeout, which the first
+    reply cancels, and the end of the selection window."""
 
     __slots__ = ("destination", "broadcast_id", "excluded", "dest_only",
                  "candidates", "timeout_handle", "retries_left", "on_route",
@@ -149,23 +151,18 @@ class Node:
         self.sim.broadcast(self.node_id, rreq)
         pend.timeout_handle = self.sim.engine.schedule_in(
             self.sim.cfg.discovery_timeout,
-            lambda: self._discovery_timeout(pend.destination))
+            lambda: self._discovery_timeout(pend))
 
-    def _discovery_timeout(self, destination):
-        pend = self.pending.get(destination)
-        if pend is None or pend.candidates:
-            return
+    def _discovery_timeout(self, pend):
         if pend.retries_left > 0:
             pend.retries_left -= 1
             self._flood(pend)
             return
-        del self.pending[destination]
-        pend.on_fail(destination)
+        del self.pending[pend.destination]
+        pend.on_fail(pend.destination)
 
-    def _finish_discovery(self, destination):
-        pend = self.pending.pop(destination, None)
-        if pend is None:
-            return
+    def _finish_discovery(self, pend):
+        del self.pending[pend.destination]
         best = select_best_rrep([c[0] for c in pend.candidates])
         sender = next(s for r, s in pend.candidates if r is best)
         self._install_selected(best, sender)
@@ -197,12 +194,14 @@ class Node:
         if field is not None:
             addressee = getattr(pkt, field)
             if addressee != self.node_id:
-                self._forward_control(pkt, addressee)
+                self._forward(pkt, addressee)
                 return
         getattr(self, handler)(pkt, sender)
 
-    def _forward_control(self, pkt, addressee):
-        entry = self.fresh_route(addressee)
+    def _forward(self, pkt, toward):
+        """Send pkt one hop along the fresh route toward a node; False,
+        and nothing sent, when there is no such route."""
+        entry = self.fresh_route(toward)
         if entry is None:
             return False
         # fresh_route has just checked this link at this instant.
@@ -260,7 +259,7 @@ class Node:
                 self.sim.engine.cancel(pend.timeout_handle)
                 self.sim.engine.schedule_in(
                     self.sim.cfg.selection_window,
-                    lambda: self._finish_discovery(rrep.destination))
+                    lambda: self._finish_discovery(pend))
             return
         self._relay_rrep(rrep, sender)
 
@@ -270,11 +269,7 @@ class Node:
         self._maybe_install(rrep.destination, sender, effective_hop,
                             rrep.dest_seq, rrep.generator, rrep.generator_nhn,
                             rrep.generator_trust)
-        back = self.fresh_route(rrep.origin)
-        if back is not None:
-            # fresh_route has just checked this link at this instant.
-            self.sim.unicast(self.node_id, back.next_hop,
-                             rrep.hopped(effective_hop), force=True)
+        self._forward(rrep.hopped(effective_hop), rrep.origin)
 
     # ---- data plane ----
 
@@ -282,13 +277,9 @@ class Node:
         if self.node_id == data.destination:
             self.sim.metrics.delivered_by_source[data.source] += 1
             return
-        entry = self.fresh_route(data.destination)
-        if entry is None:
+        if not self._forward(data, data.destination):
             self.receive(pk.NoRouteReport(
                 data.destination, data.source, 0), self.node_id)
-            return
-        # fresh_route has just checked this link at this instant.
-        self.sim.unicast(self.node_id, entry.next_hop, data, force=True)
 
     # ---- path checking: source side ----
 
@@ -511,9 +502,8 @@ class Node:
                             tuple(sorted(session.claims)), session.path_number,
                             session.nonce)
         self.sim.audit(session, "verify", str(target))
-        if not self._forward_control(query, target):
-            session.add_suspect(target)
-            self._finish_session(session)
+        if not self._forward(query, target):
+            self._verify_timeout(session, target)
             return
         session.verify_timer = self.sim.engine.schedule_in(
             self.sim.cfg.query_timeout,
@@ -527,7 +517,7 @@ class Node:
         trusted = tuple(s for s in pkt.subjects if s in self.trusted)
         reply = pk.BchReply(self.node_id, trusted, pkt.asker, pkt.path_number,
                             pkt.random_number)
-        self._forward_control(reply, pkt.asker)
+        self._forward(reply, pkt.asker)
 
     def handle_bch_reply(self, pkt, sender):
         session = self._session_for(pkt, "verifying")
@@ -569,11 +559,8 @@ class Node:
 
     def _broadcast_alarm(self, malicious):
         self.next_alarm_id += 1
-        alarm = pk.Alarm(self.node_id, self.next_alarm_id,
-                         tuple(sorted(malicious)))
-        self.seen_alarms.add((self.node_id, alarm.alarm_id))
-        self._apply_alarm(alarm)
-        self.sim.broadcast(self.node_id, alarm)
+        self.handle_alarm(pk.Alarm(self.node_id, self.next_alarm_id,
+                                   tuple(sorted(malicious))), self.node_id)
 
     # ---- elimination ----
 

@@ -1,4 +1,4 @@
-"""Discrete-event kernel: virtual clock, event queue, seeded randomness.
+"""Discrete-event kernel: a virtual clock and an event queue.
 
 A scheduled entry is its own handle: schedule() returns the queued list
 [fire_time, seq, action, node, kind, detail], and cancel(entry) clears its
@@ -22,7 +22,6 @@ formatted at.  A zero time is formatted afresh every time, since
 """
 
 import heapq
-import random
 
 
 class SchedulingError(ValueError):
@@ -32,13 +31,12 @@ class SchedulingError(ValueError):
 class Simulator:
     """Virtual-time event loop.
 
-    Events at the same fire time run in insertion order.  All randomness
-    for a run must come from self.rng so a seed reproduces the run.
+    Events at the same fire time run in insertion order.  The loop draws
+    no random numbers: a run's randomness is Simulation.rng.
     """
 
-    def __init__(self, seed=0, trace=False):
+    def __init__(self, trace=False):
         self.now = 0.0
-        self.rng = random.Random(seed)
         self._queue = []
         self._seq = 0
         self.processed = 0

@@ -104,15 +104,15 @@ class ReplayResult:
         return diffs
 
 
-def replay(name, seed=0, out_dir=None):
-    """Run the named fixture and compare its probe rows and final
-    queue state against the frozen expectations."""
+def replay(name, out_dir=None):
+    """Run the named fixture at seed 0 and compare its probe rows and
+    final queue state against the frozen expectations."""
     try:
         builder, expected, final_expected = FIXTURES[name]
     except KeyError:
         raise ConfigError("fixture: unknown name %r (have: %s)"
                           % (name, ", ".join(sorted(FIXTURES))))
-    sim = run_scenario(builder(seed), out_dir)
+    sim = run_scenario(builder(), out_dir)
     actual = probe_rows(sim.audit_lines)
     if sim.sessions_all:
         session = sim.sessions_all[0]

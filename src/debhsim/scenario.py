@@ -291,13 +291,13 @@ def write_outputs(sim, out_dir, prefix=""):
 
 # ---- the standard scenarios ----
 
-def single_scenario(seed=0, defense="debh", one_victim=True):
+def single_scenario(seed=0, defense="debh"):
     """One attacker wedged beside the only relay between 1 and 4."""
     return ScenarioConfig(
         name="single", edges=((1, 2), (2, 3), (2, 4)),
         attack_mode="single", attack_groups=((3,),),
         flows=((1, 4, 0.0),),
-        defense=defense, seed=seed, one_victim=one_victim)
+        defense=defense, seed=seed)
 
 
 def cooperative_scenario(k, seed=0, defense="debh"):

@@ -1,5 +1,7 @@
 """Wires topology, nodes, adversaries, and traffic into one seeded run."""
 
+import random
+
 from . import packets as pk
 from .adversary import AdversaryGroup, AdversaryNode
 from .aodv import FLOW_ATTEMPTS, Node
@@ -9,17 +11,10 @@ from .metrics import RunMetrics
 from .topology import GeometricTopology, StaticTopology
 
 
-class _TraceKinds(dict):
-    """("send_<type>", "recv_<type>") trace kinds by packet type, named on
-    a type's first traced send."""
-
-    def __missing__(self, cls):
-        name = cls.__name__.lower()
-        kinds = self[cls] = ("send_" + name, "recv_" + name)
-        return kinds
-
-
-_TRACE_KINDS = _TraceKinds()
+# ("send_<type>", "recv_<type>") trace kinds of every packet type.
+_TRACE_KINDS = {cls: ("send_" + cls.__name__.lower(),
+                      "recv_" + cls.__name__.lower())
+                for cls in Node._HANDLERS}
 
 
 class Flow:
@@ -94,7 +89,10 @@ class Simulation:
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.engine = Simulator(cfg.seed, trace=cfg.trace)
+        self.engine = Simulator(trace=cfg.trace)
+        # The run's one random stream, so a seed reproduces the run:
+        # placement and flows draw first, then movement and nonces.
+        self.rng = random.Random(cfg.seed)
         self.metrics = RunMetrics()
         self.audit_lines = []
         self.sessions_all = []
@@ -106,7 +104,7 @@ class Simulation:
         else:
             self.topology = GeometricTopology(
                 node_ids, cfg.arena, cfg.range_m, cfg.min_speed,
-                cfg.max_speed, cfg.pause_s, self.engine.rng,
+                cfg.max_speed, cfg.pause_s, self.rng,
                 mobile=cfg.mobility)
 
         self.groups = []
@@ -134,19 +132,15 @@ class Simulation:
             honest = [n for n in node_ids if n not in owner]
             flow_specs = []
             for _ in range(cfg.connections):
-                src, dst = self.engine.rng.sample(honest, 2)
+                src, dst = self.rng.sample(honest, 2)
                 flow_specs.append((src, dst, 0.0))
         self.flows = [Flow(self, s, d, t) for s, d, t in flow_specs]
 
-    # ---- clock and randomness ----
+    # ---- clock ----
 
     @property
     def now(self):
         return self.engine.now
-
-    @property
-    def rng(self):
-        return self.engine.rng
 
     # ---- radio ----
 
@@ -203,7 +197,7 @@ class Simulation:
     # ---- movement ----
 
     def _mobility_step(self, node_id):
-        t = self.topology.step(node_id, self.engine.now, self.engine.rng)
+        t = self.topology.step(node_id, self.engine.now, self.rng)
         if t is None or t <= self.engine.now or t > self.cfg.duration_s:
             return
         self.engine.schedule(t, lambda: self._mobility_step(node_id),

@@ -27,13 +27,21 @@ def _discover(sim, source, dest, excluded=(), horizon=5.0, **kw):
     return got
 
 
+def _floods_by(sim, node):
+    return [line for line in sim.engine.trace
+            if line.split(",")[1] == str(node) and ",send_rreq," in line]
+
+
 def test_discovery_installs_a_route_at_the_source():
-    sim = _sim([(1, 2), (2, 3)])
+    sim = _sim([(1, 2), (2, 3)], trace=True)
     got = _discover(sim, 1, 3)
     assert got["rrep"].generator == 3
     entry = sim.nodes[1].table[3]
     assert (entry.next_hop, entry.hop_count, entry.generator) == (2, 2, 3)
     assert entry.fresh
+    # The reply stopped the retries, and the discovery's record is gone.
+    assert len(_floods_by(sim, 1)) == 1
+    assert sim.nodes[1].pending == {}
 
 
 def test_relays_install_reverse_paths_during_the_flood():
@@ -145,11 +153,13 @@ def test_banned_generator_replies_are_discarded():
 
 def test_discovery_retries_before_giving_up():
     sim = _sim([(1, 2)], trace=True)
-    got = _discover(sim, 1, 9, horizon=10.0)
-    assert got == {"failed": 9}
-    floods = [line for line in sim.engine.trace
-              if line.split(",")[1] == "1" and ",send_rreq," in line]
-    assert len(floods) == 3  # first try plus two retries
+    fails = []
+    sim.nodes[1].discover(9, (), lambda rrep, t0: fails.append(rrep),
+                          fails.append)
+    sim.engine.run_until(60.0)
+    assert fails == [9]
+    assert len(_floods_by(sim, 1)) == 3  # first try plus two retries
+    assert sim.nodes[1].pending == {}
 
 
 def test_ensure_route_reuses_a_fresh_entry_without_flooding():
@@ -347,6 +357,29 @@ def test_a_suspect_report_for_another_nodes_session_is_ignored():
     assert session.blackhole_queue == []
     assert sim.audit_lines[rows:] == []
     assert dict(sim.metrics.rreq_count_by_source) == floods
+
+
+# A silent target and an unroutable one fail the verify the same way.
+@pytest.mark.parametrize("failure", ["silent", "unroutable"])
+def test_a_verify_failure_takes_one_path(failure):
+    sim, session, done = _checked_line()
+    source = sim.nodes[1]
+    # Walk the path but hold back the Ack, so the test starts the verify.
+    source.handle_ack = lambda pkt, sender: None
+    sim.engine.run_until(sim.now + 1.0)
+    if failure == "silent":
+        sim.nodes[5].handle_bch_query = lambda pkt, sender: None
+    else:
+        source.table[5].fresh = False
+    rows = len(sim.audit_lines)
+    source._begin_verify(session, 5)
+    sim.engine.run_until(sim.now + sim.cfg.query_timeout)
+    assert session.state == "done"
+    assert session.blackhole_queue == [5]
+    assert session.verdict == [5]
+    assert [line.split(",", 1)[1] for line in sim.audit_lines[rows:]] == [
+        "1,1,verify,5,-,5", "1,1,malicious,5,5,5"]
+    assert done == [False]
 
 
 def test_a_bch_reply_for_another_nodes_session_is_ignored():

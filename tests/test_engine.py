@@ -84,12 +84,6 @@ def test_events_beyond_the_horizon_wait():
     assert fired == [1]
 
 
-def test_same_seed_reproduces_draws():
-    a = Simulator(seed=42)
-    b = Simulator(seed=42)
-    assert [a.rng.random() for _ in range(5)] == [b.rng.random() for _ in range(5)]
-
-
 def test_trace_records_kind_tagged_events():
     sim = Simulator(trace=True)
     sim.schedule(1.0, lambda: None, node=7, kind="recv_data", detail="from=2")

@@ -1,5 +1,6 @@
-"""Packet types: every one has a handler in the node's dispatch table,
-and relayed packets copy themselves hop by hop."""
+"""Packet types: every one has a handler in the node's dispatch table
+and trace kinds named after it, and relayed packets copy themselves hop
+by hop."""
 
 import copy
 import dataclasses
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from debhsim import packets as pk
 from debhsim.aodv import Node
+from debhsim.simulation import _TRACE_KINDS
 
 
 def test_every_packet_type_has_a_handler():
@@ -20,6 +22,8 @@ def test_every_packet_type_has_a_handler():
         assert callable(getattr(Node, handler)), cls
         if field is not None:
             assert field in {f.name for f in dataclasses.fields(cls)}, cls
+        name = cls.__name__.lower()
+        assert _TRACE_KINDS[cls] == ("send_" + name, "recv_" + name)
 
 
 def test_flood_packet_defaults():
