@@ -13,7 +13,7 @@ RREQ_RETRIES = 2
 FLOW_ATTEMPTS = 8
 
 
-@dataclass
+@dataclass(slots=True)
 class RoutingEntry:
     destination: int
     next_hop: int

@@ -1,21 +1,15 @@
-"""Packet types exchanged between nodes."""
+"""Packet types exchanged between nodes.
+
+Every packet is a slotted record: it has no __dict__, so setting an
+undeclared attribute raises AttributeError.  Route requests and replies,
+the only packets relayed hop by hop, copy themselves with hopped(), which
+calls the constructor with every field."""
 
 from dataclasses import dataclass
 
 
-class _Hops:
-    """Packets relayed hop by hop carry a hop_count."""
-
-    def hopped(self, hop_count):
-        """Shallow copy with a new hop_count, as dataclasses.replace makes."""
-        new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__)
-        new.hop_count = hop_count
-        return new
-
-
-@dataclass
-class Rreq(_Hops):
+@dataclass(slots=True)
+class Rreq:
     """Route request, flooded during discovery."""
 
     origin: int
@@ -31,9 +25,15 @@ class Rreq(_Hops):
     # from its cached route.
     dest_only: bool = False
 
+    def hopped(self, hop_count):
+        """Shallow copy with a new hop_count, as dataclasses.replace makes."""
+        return Rreq(self.origin, self.destination, self.origin_seq,
+                    self.dest_seq_known, self.broadcast_id, hop_count,
+                    self.excluded, self.dest_only)
 
-@dataclass
-class Rrep(_Hops):
+
+@dataclass(slots=True)
+class Rrep:
     """Route reply, unicast back along the reverse path.
 
     generator is the node that produced the reply.  generator_nhn and
@@ -51,8 +51,14 @@ class Rrep(_Hops):
     generator_nhn: int
     generator_trust: bool = False
 
+    def hopped(self, hop_count):
+        """Shallow copy with a new hop_count, as dataclasses.replace makes."""
+        return Rrep(self.origin, self.destination, self.broadcast_id,
+                    self.dest_seq, hop_count, self.generator,
+                    self.generator_nhn, self.generator_trust)
 
-@dataclass
+
+@dataclass(slots=True)
 class Data:
     """Application payload, forwarded hop by hop."""
 
@@ -60,7 +66,7 @@ class Data:
     destination: int
 
 
-@dataclass
+@dataclass(slots=True)
 class DataControl:
     """Hop check probe; black holes drop it because it is data-class."""
 
@@ -71,7 +77,7 @@ class DataControl:
     path_number: int
 
 
-@dataclass
+@dataclass(slots=True)
 class OrdinalProbe:
     """Same shape as DataControl but control-class; no reply expected.
     A class of its own because the event trace names packets by class."""
@@ -83,13 +89,13 @@ class OrdinalProbe:
     path_number: int
 
 
-@dataclass
+@dataclass(slots=True)
 class DataControlReply:
     random_number: int
     path_number: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Ack:
     """Sent by the session target back to the source: path reached."""
 
@@ -99,7 +105,7 @@ class Ack:
     path_number: int
 
 
-@dataclass
+@dataclass(slots=True)
 class SuspectReport:
     """A prober tells the source its next hop went silent."""
 
@@ -112,7 +118,7 @@ class SuspectReport:
     claimed_trust: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class NoRouteReport:
     """A chain node lost its route toward the session target."""
 
@@ -122,7 +128,7 @@ class NoRouteReport:
     random_number: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class NhnQuery:
     asker: int
     addressee: int
@@ -130,7 +136,7 @@ class NhnQuery:
     random_number: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class NhnReply:
     nhn: int
     trust_for_nhn: bool
@@ -138,7 +144,7 @@ class NhnReply:
     random_number: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class BchQuery:
     asker: int
     addressee: int
@@ -147,7 +153,7 @@ class BchQuery:
     random_number: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class BchReply:
     """The subjects asked about that the replier trusts."""
 
@@ -158,7 +164,7 @@ class BchReply:
     random_number: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Alarm:
     """Network-wide elimination broadcast naming confirmed black holes."""
 

@@ -1,29 +1,43 @@
 """Packet types: every one has a handler in the node's dispatch table
-and trace kinds named after it, and relayed packets copy themselves hop
-by hop."""
+and trace kinds named after it, every one (and the routing entry) is a
+slotted record, and relayed packets copy themselves hop by hop."""
 
 import copy
 import dataclasses
 import inspect
 
+import pytest
 from hypothesis import given, strategies as st
 
 from debhsim import packets as pk
-from debhsim.aodv import Node
+from debhsim.aodv import Node, RoutingEntry
 from debhsim.simulation import _TRACE_KINDS
+
+PACKET_TYPES = [cls for _, cls in inspect.getmembers(pk, inspect.isclass)
+                if dataclasses.is_dataclass(cls)
+                and cls.__module__ == pk.__name__]
 
 
 def test_every_packet_type_has_a_handler():
-    types = [cls for _, cls in inspect.getmembers(pk, inspect.isclass)
-             if dataclasses.is_dataclass(cls) and cls.__module__ == pk.__name__]
-    assert set(types) == set(Node._HANDLERS)
-    for cls in types:
+    assert set(PACKET_TYPES) == set(Node._HANDLERS)
+    for cls in PACKET_TYPES:
         handler, field = Node._HANDLERS[cls]
         assert callable(getattr(Node, handler)), cls
         if field is not None:
             assert field in {f.name for f in dataclasses.fields(cls)}, cls
         name = cls.__name__.lower()
         assert _TRACE_KINDS[cls] == ("send_" + name, "recv_" + name)
+
+
+@pytest.mark.parametrize("cls", PACKET_TYPES + [RoutingEntry],
+                         ids=lambda cls: cls.__name__)
+def test_records_are_slotted(cls):
+    required = sum(f.default is dataclasses.MISSING
+                   for f in dataclasses.fields(cls))
+    record = cls(*range(required))
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.undeclared = 1
 
 
 def test_flood_packet_defaults():
@@ -35,7 +49,8 @@ def test_flood_packet_defaults():
 _ints = st.integers(-2**40, 2**40)
 _ids = st.lists(st.integers(0, 300), max_size=6).map(tuple)
 _HOPPED = st.one_of(
-    st.builds(pk.Rreq, _ints, _ints, _ints, _ints, _ints, _ints, _ids),
+    st.builds(pk.Rreq, _ints, _ints, _ints, _ints, _ints, _ints, _ids,
+              st.booleans()),
     st.builds(pk.Rrep, _ints, _ints, _ints, _ints, _ints, _ints, _ints,
               st.booleans()),
 )
