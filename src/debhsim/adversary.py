@@ -89,7 +89,7 @@ class AdversaryNode(Node):
 
     def handle_rreq(self, rreq, sender):
         self._maybe_install(rreq.origin, sender, rreq.hop_count + 1,
-                            rreq.origin_seq, rreq.origin)
+                            rreq.origin_seq, rreq.origin, rreq.origin)
         if self.node_id == rreq.destination:
             # Answer every copy so a reply survives on whatever branch
             # the requester still accepts.

@@ -1,6 +1,6 @@
 """Honest node behavior: route discovery, data forwarding, path checking."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import packets as pk
 from .debh import CheckSession, adjudicate, is_malicious, resolve_next_target
@@ -15,45 +15,46 @@ FLOW_ATTEMPTS = 8
 
 @dataclass(slots=True)
 class RoutingEntry:
+    """A route, and the reply behind it: its generator, the next hop that
+    generator claimed and whether it claimed to trust that hop.  A reverse
+    route from a RREQ names the origin as generator and as its next hop.
+    The check walks this record itself; only fresh changes once built."""
+
     destination: int
     next_hop: int
     hop_count: int
     dest_seq: int
     generator: int
-    generator_nhn: int = None
+    generator_nhn: int
     generator_trust: bool = False
     fresh: bool = True
 
 
-def select_best_rrep(candidates):
-    """Freshest reply wins: highest dest_seq, then fewest hops, then
-    the smaller generator id."""
-    if not candidates:
-        raise ValueError("no route reply candidates")
+def select_best_route(candidates):
+    """Freshest route wins: highest dest_seq, then fewest hops, then
+    the smaller generator id; among equals, the earliest candidate.
+    No candidate at all is a ValueError."""
     return max(candidates,
                key=lambda r: (r.dest_seq, -r.hop_count, -r.generator))
 
 
+@dataclass(slots=True)
 class _Pending:
-    """One in-flight route discovery at the source.  Only its two timers
+    """One in-flight route discovery at the source, and the routes its
+    accepted replies advertise, in arrival order.  Only its two timers
     take it out of Node.pending: the flood's timeout, which the first
     reply cancels, and the end of the selection window."""
 
-    __slots__ = ("destination", "broadcast_id", "excluded", "dest_only",
-                 "candidates", "timeout_handle", "retries_left", "on_route",
-                 "on_fail", "t0")
-
-    def __init__(self, destination, excluded, dest_only, on_route, on_fail, t0):
-        self.destination = destination
-        self.broadcast_id = 0         # set by each flood
-        self.excluded = excluded
-        self.dest_only = dest_only
-        self.candidates = []          # (adjusted Rrep, sender)
-        self.timeout_handle = None
-        self.retries_left = RREQ_RETRIES
-        self.on_route = on_route
-        self.on_fail = on_fail
-        self.t0 = t0
+    destination: int
+    excluded: tuple
+    dest_only: bool
+    on_route: object              # called with (RoutingEntry, t0)
+    on_fail: object               # called with the destination
+    t0: float
+    broadcast_id: int = 0         # set by each flood
+    candidates: list = field(default_factory=list)
+    timeout_handle: object = None
+    retries_left: int = RREQ_RETRIES
 
 
 class Node:
@@ -90,7 +91,7 @@ class Node:
         return entry
 
     def _maybe_install(self, destination, next_hop, hop_count, dest_seq,
-                       generator, generator_nhn=None, generator_trust=False):
+                       generator, generator_nhn, generator_trust=False):
         if destination == self.node_id:
             return
         cur = self.table.get(destination)
@@ -102,23 +103,13 @@ class Node:
             destination, next_hop, hop_count, dest_seq, generator,
             generator_nhn, generator_trust)
 
-    def _install_selected(self, rrep, sender):
-        self.table[rrep.destination] = RoutingEntry(
-            rrep.destination, sender, rrep.hop_count, rrep.dest_seq,
-            rrep.generator, rrep.generator_nhn, rrep.generator_trust)
-
     # ---- route discovery ----
 
     def ensure_route(self, destination, on_route, on_fail, excluded=()):
         """Reuse a fresh route when one exists, otherwise discover."""
         entry = self.fresh_route(destination)
         if entry is not None:
-            rrep = pk.Rrep(self.node_id, destination, 0, entry.dest_seq,
-                           entry.hop_count, entry.generator,
-                           entry.generator_nhn if entry.generator_nhn is not None
-                           else entry.generator,
-                           entry.generator_trust)
-            on_route(rrep, self.sim.now)
+            on_route(entry, self.sim.now)
             return
         self.discover(destination, excluded, on_route, on_fail)
 
@@ -163,9 +154,8 @@ class Node:
 
     def _finish_discovery(self, pend):
         del self.pending[pend.destination]
-        best = select_best_rrep([c[0] for c in pend.candidates])
-        sender = next(s for r, s in pend.candidates if r is best)
-        self._install_selected(best, sender)
+        best = select_best_route(pend.candidates)
+        self.table[pend.destination] = best
         pend.on_route(best, pend.t0)
 
     # ---- receive dispatch ----
@@ -217,7 +207,7 @@ class Node:
             return
         self.seen_floods[key] = rreq.excluded
         self._maybe_install(rreq.origin, sender, rreq.hop_count + 1,
-                            rreq.origin_seq, rreq.origin)
+                            rreq.origin_seq, rreq.origin, rreq.origin)
         if self.node_id == rreq.destination:
             self._answer_as_destination(rreq, sender)
             return
@@ -251,10 +241,12 @@ class Node:
             pend = self.pending.get(rrep.destination)
             if pend is None or pend.broadcast_id != rrep.broadcast_id:
                 return
-            if rrep.generator in pend.excluded or sender in pend.excluded:
+            # An excluded sender already fell to the flood's own filter.
+            if rrep.generator in pend.excluded:
                 return
-            pend.candidates.append(
-                (rrep.hopped(rrep.hop_count + 1), sender))
+            pend.candidates.append(RoutingEntry(
+                rrep.destination, sender, rrep.hop_count + 1, rrep.dest_seq,
+                rrep.generator, rrep.generator_nhn, rrep.generator_trust))
             if len(pend.candidates) == 1:
                 self.sim.engine.cancel(pend.timeout_handle)
                 self.sim.engine.schedule_in(
@@ -283,20 +275,20 @@ class Node:
 
     # ---- path checking: source side ----
 
-    def start_check(self, destination, rrep, t0, on_done):
+    def start_check(self, destination, route, t0, on_done):
         sessions = self.sim.sessions_all
         session = CheckSession(self.node_id, destination, len(sessions) + 1,
                                t0, current_target=destination, on_done=on_done)
         sessions.append(session)
         self.sim.audit(session, "session", str(destination))
-        self._start_path(session, rrep)
+        self._start_path(session, route)
         return session
 
-    def _start_path(self, session, rrep):
-        session.take_route(rrep)
+    def _start_path(self, session, route):
+        session.take_route(route)
         session.nonce = self.sim.rng.getrandbits(64)
         self.sim.sessions[session.nonce] = session
-        self.sim.audit(session, "route", str(rrep.generator))
+        self.sim.audit(session, "route", str(route.generator))
         self._restart_path(session)
 
     def _restart_path(self, session):
@@ -464,19 +456,19 @@ class Node:
         self.sim.audit(session, "no_route", str(pkt.unreachable))
         self._rediscover(session, self._heal_path)
 
-    def _heal_path(self, session, rrep):
+    def _heal_path(self, session, route):
         """A broken link was healed by rediscovery; same path number."""
-        session.take_route(rrep)
+        session.take_route(route)
         self._restart_path(session)
 
     def _rediscover(self, session, on_route):
         """Find the current target around every suspect, then hand the
-        route to on_route(session, rrep); finding none aborts the check."""
+        route to on_route(session, route); finding none aborts the check."""
         self._arm_watchdog(session)
 
-        def routed(rrep, t0):
+        def routed(route, t0):
             if session.state == "checking":
-                on_route(session, rrep)
+                on_route(session, route)
         # Only the target may answer: a relay's cached route can lead back
         # to a suspect or to a relay with no route on, and the check would
         # walk it again on every retry, re-arming its watchdog each time.

@@ -31,7 +31,7 @@ class CheckSession:
     path_number: int = 1
     nonce: int = 0
     current_target: int = None
-    current_rrep: object = None
+    route: object = None          # the aodv.RoutingEntry being checked
     blackhole_queue: list = field(default_factory=list)
     rrep_generator_queue: list = field(default_factory=list)
     # claimant -> (claimed next hop, claimed trust for it)
@@ -52,11 +52,12 @@ class CheckSession:
     def add_generator(self, node):
         self.rrep_generator_queue.append(node)
 
-    def take_route(self, rrep):
-        """Check the current sub-path along this reply's route."""
-        self.current_rrep = rrep
-        self.add_generator(rrep.generator)
-        self.claims[rrep.generator] = (rrep.generator_nhn, rrep.generator_trust)
+    def take_route(self, route):
+        """Check the current sub-path along this route."""
+        self.route = route
+        self.add_generator(route.generator)
+        self.claims[route.generator] = (route.generator_nhn,
+                                        route.generator_trust)
 
 
 def resolve_next_target(session, suspect, claimed_nhn):
@@ -68,13 +69,13 @@ def resolve_next_target(session, suspect, claimed_nhn):
     source, or an already-suspected node) fall back to re-checking the
     original destination.
     """
-    rrep = session.current_rrep
-    if rrep is not None and suspect == rrep.generator:
-        target = rrep.generator_nhn
+    route = session.route
+    if route is not None and suspect == route.generator:
+        target = route.generator_nhn
     else:
         target = claimed_nhn
-    if rrep is not None and target == rrep.generator:
-        target = rrep.generator_nhn
+    if route is not None and target == route.generator:
+        target = route.generator_nhn
     if (target is None or target == suspect or target == session.source
             or target in session.blackhole_queue):
         target = session.final_destination

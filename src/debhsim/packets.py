@@ -40,6 +40,7 @@ class Rrep:
     generator_trust carry the generator's claimed next hop toward the
     destination and whether it claims to trust that hop; when the
     generator is the destination itself, generator_nhn is its own id.
+    The source keeps them in the aodv.RoutingEntry that the check walks.
     """
 
     origin: int

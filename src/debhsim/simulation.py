@@ -43,10 +43,10 @@ class Flow:
         node.ensure_route(self.destination, self._on_route, self._on_fail,
                           tuple(sorted(node.banned)))
 
-    def _on_route(self, rrep, t_request):
+    def _on_route(self, route, t_request):
         if self.sim.cfg.defense == "debh":
             node = self.sim.nodes[self.source]
-            node.start_check(self.destination, rrep, t_request, self._on_check)
+            node.start_check(self.destination, route, t_request, self._on_check)
         else:
             self._begin_sending()
 

@@ -161,10 +161,10 @@ def test_criterion_9_alarm_makes_forgeries_inert():
     for _ in range(20):
         source.table.pop(4, None)
         got = {}
-        source.discover(4, (), lambda rrep, t0: got.update(rrep=rrep),
+        source.discover(4, (), lambda route, t0: got.update(route=route),
                         lambda d: got.update(failed=d))
         sim.engine.run_until(sim.engine.now + 2.0)
-        assert got["rrep"].generator == 4
+        assert got["route"].generator == 4
     # The attacker kept answering; nobody honest listened.
     assert sim.metrics.forged_rreps == forged_before + 20
     for node in sim.nodes.values():

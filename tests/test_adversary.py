@@ -27,9 +27,9 @@ def _recorder(sim):
 def test_forged_reply_inflates_the_sequence_it_was_told():
     sim = build_simulation(single_scenario())
     # The requester remembers sequence 5 for the destination.
-    sim.nodes[1].table[4] = RoutingEntry(4, 2, 2, 5, 4, fresh=False)
+    sim.nodes[1].table[4] = RoutingEntry(4, 2, 2, 5, 4, 4, fresh=False)
     got = {}
-    sim.nodes[1].discover(4, (), lambda rrep, t0: got.update(rrep=rrep),
+    sim.nodes[1].discover(4, (), lambda route, t0: got.update(route=route),
                           lambda d: got.update(failed=d))
     sim.engine.run_until(2.0)
     entry = sim.nodes[1].table[4]
@@ -41,12 +41,12 @@ def test_forged_reply_inflates_the_sequence_it_was_told():
 def test_forged_reply_beats_the_honest_one():
     sim = build_simulation(single_scenario())
     got = {}
-    sim.nodes[1].discover(4, (), lambda rrep, t0: got.update(rrep=rrep),
+    sim.nodes[1].discover(4, (), lambda route, t0: got.update(route=route),
                           lambda d: got.update(failed=d))
     sim.engine.run_until(2.0)
-    assert got["rrep"].generator == 3
-    assert got["rrep"].dest_seq == 100
-    assert got["rrep"].generator_trust is True
+    assert got["route"].generator == 3
+    assert got["route"].dest_seq == 100
+    assert got["route"].generator_trust is True
 
 
 def test_lone_attacker_names_the_destination_as_cover():
@@ -121,7 +121,7 @@ def test_attacker_relays_ordinal_probes_like_an_honest_node():
     calls = _recorder(sim)
     relayed = []
     for node in (sim.nodes[10], Node(10, sim)):
-        node.table[3] = RoutingEntry(3, 14, 2, 1, 3)
+        node.table[3] = RoutingEntry(3, 14, 2, 1, 3, 3)
         node.receive(pk.OrdinalProbe(10, 99, 1, 3, 1), 2)
         relayed.append((calls[:], {nonce: probe for nonce, (probe, _)
                                    in node.probe_timers.items()}))
@@ -151,13 +151,13 @@ def test_greedy_destination_answers_every_flood_copy():
                          flows=(), connections=1, mobility=False, trace=True)
     sim = build_simulation(cfg)
     got = {}
-    sim.nodes[1].discover(3, (), lambda rrep, t0: got.update(rrep=rrep),
+    sim.nodes[1].discover(3, (), lambda route, t0: got.update(route=route),
                           lambda d: got.update(failed=d))
     sim.engine.run_until(2.0)
     replies = [line for line in sim.engine.trace
                if line.split(",")[1] == "3" and ",send_rrep," in line]
     assert len(replies) == 2
-    assert got["rrep"].generator == 3
+    assert got["route"].generator == 3
 
 
 def test_attacker_claims_its_cover_when_asked_for_a_next_hop():
@@ -174,7 +174,7 @@ def test_attacker_claims_its_cover_when_asked_for_a_next_hop():
 def test_attacker_vouches_for_every_queried_subject():
     sim = _fixture_sim()
     node = sim.nodes[10]
-    node.table[1] = RoutingEntry(1, 2, 1, 1, 1)
+    node.table[1] = RoutingEntry(1, 2, 1, 1, 1, 1)
     calls = _recorder(sim)
     node.receive(pk.BchQuery(1, 10, (3, 14, 15), 2, random_number=42), 2)
     (_, _, reply, _), = calls

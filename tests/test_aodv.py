@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from debhsim import packets as pk
-from debhsim.aodv import RoutingEntry, select_best_rrep
+from debhsim.aodv import RoutingEntry, select_best_route
 from debhsim.scenario import ScenarioConfig, build_simulation
 
 
@@ -21,7 +21,7 @@ def _sim(edges, flows=(), groups=(), mode="none", **kw):
 def _discover(sim, source, dest, excluded=(), horizon=5.0, **kw):
     got = {}
     sim.nodes[source].discover(dest, tuple(excluded),
-                               lambda rrep, t0: got.update(rrep=rrep, t0=t0),
+                               lambda route, t0: got.update(route=route, t0=t0),
                                lambda d: got.update(failed=d), **kw)
     sim.engine.run_until(sim.engine.now + horizon)
     return got
@@ -35,10 +35,12 @@ def _floods_by(sim, node):
 def test_discovery_installs_a_route_at_the_source():
     sim = _sim([(1, 2), (2, 3)], trace=True)
     got = _discover(sim, 1, 3)
-    assert got["rrep"].generator == 3
+    assert got["route"].generator == 3
     entry = sim.nodes[1].table[3]
     assert (entry.next_hop, entry.hop_count, entry.generator) == (2, 2, 3)
     assert entry.fresh
+    # The consumer gets the installed entry itself.
+    assert got["route"] is entry
     # The reply stopped the retries, and the discovery's record is gone.
     assert len(_floods_by(sim, 1)) == 1
     assert sim.nodes[1].pending == {}
@@ -68,7 +70,7 @@ def test_each_node_rebroadcasts_a_flood_once():
 def test_destination_answers_the_first_copy_only():
     sim = _sim([(1, 2), (1, 3), (2, 4), (3, 4)], trace=True)
     got = _discover(sim, 1, 4)
-    assert got["rrep"].generator == 4
+    assert got["route"].generator == 4
     replies = [line for line in sim.engine.trace
                if line.split(",")[1] == "4" and ",send_rrep," in line]
     assert len(replies) == 1
@@ -77,15 +79,15 @@ def test_destination_answers_the_first_copy_only():
 def test_destination_reply_outruns_any_sequence_it_was_told():
     sim = _sim([(1, 2), (2, 3)])
     # The source remembers a stale but inflated sequence number.
-    sim.nodes[1].table[3] = RoutingEntry(3, 2, 1, 100, 3, fresh=False)
+    sim.nodes[1].table[3] = RoutingEntry(3, 2, 1, 100, 3, 3, fresh=False)
     got = _discover(sim, 1, 3)
-    assert got["rrep"].dest_seq == 101
+    assert got["route"].dest_seq == 101
     assert sim.nodes[3].seq == 101
 
 
 def test_selection_prefers_seq_then_hops_then_lower_generator():
     def one(seq, hops, gen):
-        return pk.Rrep(1, 9, 1, seq, hops, gen, gen)
+        return RoutingEntry(9, gen, hops, seq, gen, gen)
 
     def oracle(a, b):
         if a.dest_seq != b.dest_seq:
@@ -96,17 +98,21 @@ def test_selection_prefers_seq_then_hops_then_lower_generator():
 
     grid = [one(s, h, g) for s in (1, 2, 3) for h in (0, 1, 2) for g in (3, 4)]
     for a, b in itertools.permutations(grid, 2):
-        assert select_best_rrep([a, b]) is oracle(a, b)
+        assert select_best_route([a, b]) is oracle(a, b)
+    # Among equal keys the earlier candidate wins.
+    first, second = one(2, 1, 3), one(2, 1, 3)
+    assert select_best_route([first, second]) is first
+    assert select_best_route([second, first]) is second
 
 
 def test_selection_rejects_an_empty_candidate_list():
     with pytest.raises(ValueError):
-        select_best_rrep([])
+        select_best_route([])
 
 
 def test_selected_reply_overwrites_whatever_the_source_had():
     sim = _sim([(1, 2), (2, 3)])
-    sim.nodes[1].table[3] = RoutingEntry(3, 2, 1, 999, 7)
+    sim.nodes[1].table[3] = RoutingEntry(3, 2, 1, 999, 7, 3)
     _discover(sim, 1, 3)
     entry = sim.nodes[1].table[3]
     # The old poison is gone and the real destination out-ran its number.
@@ -117,15 +123,15 @@ def test_selected_reply_overwrites_whatever_the_source_had():
 def test_relay_keeps_the_fresher_entry():
     sim = _sim([(1, 2), (2, 3)])
     node = sim.nodes[2]
-    node._maybe_install(9, 3, 2, 5, 9)
-    node._maybe_install(9, 1, 1, 4, 9)      # lower seq loses
+    node._maybe_install(9, 3, 2, 5, 9, 9)
+    node._maybe_install(9, 1, 1, 4, 9, 9)     # lower seq loses
     assert node.table[9].next_hop == 3
-    node._maybe_install(9, 1, 1, 5, 9)      # same seq, fewer hops wins
+    node._maybe_install(9, 1, 1, 5, 9, 9)     # same seq, fewer hops wins
     assert node.table[9].next_hop == 1
-    node._maybe_install(9, 3, 5, 6, 9)      # higher seq wins regardless
+    node._maybe_install(9, 3, 5, 6, 9, 9)     # higher seq wins regardless
     assert node.table[9].next_hop == 3
     node.table[9].fresh = False
-    node._maybe_install(9, 1, 9, 1, 9)      # anything beats a stale entry
+    node._maybe_install(9, 1, 9, 1, 9, 9)     # anything beats a stale entry
     assert node.table[9].next_hop == 1
 
 
@@ -140,7 +146,7 @@ def test_excluded_relay_is_cut_out_of_the_flood():
 def test_discovery_routes_around_an_excluded_relay():
     sim = _sim([(1, 2), (1, 3), (2, 4), (3, 4)])
     got = _discover(sim, 1, 4, excluded=(2,))
-    assert "rrep" in got
+    assert "route" in got
     assert sim.nodes[1].table[4].next_hop == 3
 
 
@@ -154,7 +160,7 @@ def test_banned_generator_replies_are_discarded():
 def test_discovery_retries_before_giving_up():
     sim = _sim([(1, 2)], trace=True)
     fails = []
-    sim.nodes[1].discover(9, (), lambda rrep, t0: fails.append(rrep),
+    sim.nodes[1].discover(9, (), lambda route, t0: fails.append(route),
                           fails.append)
     sim.engine.run_until(60.0)
     assert fails == [9]
@@ -167,10 +173,72 @@ def test_ensure_route_reuses_a_fresh_entry_without_flooding():
     _discover(sim, 1, 3)
     before = sim.metrics.rreq_count_by_source.get(1, 0)
     got = {}
-    sim.nodes[1].ensure_route(3, lambda rrep, t0: got.update(rrep=rrep),
+    sim.nodes[1].ensure_route(3, lambda route, t0: got.update(route=route),
                               lambda d: got.update(failed=d))
-    assert got["rrep"].generator == 3
+    assert got["route"] is sim.nodes[1].table[3]
     assert sim.metrics.rreq_count_by_source.get(1, 0) == before
+
+
+def test_a_reused_reverse_route_names_its_generator_as_next_hop():
+    sim = _sim([(1, 2), (2, 3)])
+    _discover(sim, 1, 3)
+    # 3 learned its way back to 1 from 1's flood, not from any reply.
+    got = {}
+    sim.nodes[3].ensure_route(1, lambda route, t0: got.update(route=route),
+                              lambda d: got.update(failed=d))
+    route = got["route"]
+    assert route is sim.nodes[3].table[1]
+    assert (route.next_hop, route.generator, route.generator_nhn,
+            route.generator_trust) == (2, 1, 1, False)
+    assert sim.metrics.rreq_count_by_source.get(3, 0) == 0
+
+
+@pytest.mark.xfail(strict=True, reason="discover hands a running discovery "
+                   "to its newest caller and drops the earlier one")
+def test_a_discovery_answers_every_caller():
+    sim = _sim([(1, 2), (2, 3)])
+    got = []
+    for caller in ("first", "second"):
+        sim.nodes[1].discover(
+            3, (), lambda route, t0, caller=caller: got.append(caller),
+            got.append)
+    sim.engine.run_until(5.0)
+    assert got == ["first", "second"]
+
+
+def test_a_relay_drops_a_reply_to_a_flood_it_never_saw():
+    sim = _sim([(1, 2), (2, 3)], trace=True)
+    sim.nodes[2].receive(pk.Rrep(1, 3, 7, 5, 0, 3, 3, True), 3)
+    sim.engine.run_until(1.0)
+    assert 3 not in sim.nodes[2].table
+    assert not [line for line in sim.engine.trace if ",send_rrep," in line]
+
+
+def test_the_source_drops_a_reply_to_a_superseded_flood():
+    sim = _sim([(1, 2), (2, 3)])
+    node = sim.nodes[1]
+    node.discover(3, (), lambda route, t0: None, lambda d: None)
+    pend = node.pending[3]
+    stale = pend.broadcast_id
+    node._discovery_timeout(pend)           # the retry floods anew
+    assert pend.broadcast_id != stale
+    node.receive(pk.Rrep(1, 3, stale, 5, 0, 3, 3, True), 2)
+    assert pend.candidates == []
+    node.receive(pk.Rrep(1, 3, pend.broadcast_id, 5, 0, 3, 3, True), 2)
+    assert [(r.next_hop, r.hop_count, r.generator)
+            for r in pend.candidates] == [(2, 1, 3)]
+
+
+@pytest.mark.parametrize("generator, sender", [(4, 2), (3, 4)],
+                         ids=["generator", "sender"])
+def test_the_source_drops_a_reply_from_an_excluded_node(generator, sender):
+    sim = _sim([(1, 2), (2, 3), (1, 4), (4, 3)])
+    node = sim.nodes[1]
+    node.discover(3, (4,), lambda route, t0: None, lambda d: None)
+    pend = node.pending[3]
+    node.receive(pk.Rrep(1, 3, pend.broadcast_id, 5, 0, generator, generator,
+                         True), sender)
+    assert pend.candidates == []
 
 
 def test_cached_reply_answers_for_a_known_destination():
@@ -178,11 +246,11 @@ def test_cached_reply_answers_for_a_known_destination():
     _discover(sim, 1, 3)
     # 2 now holds a fresh route to 3 and answers 4's discovery itself.
     got = _discover(sim, 4, 3)
-    assert got["rrep"].generator == 2
+    assert got["route"].generator == 2
     assert sim.nodes[3].seen_floods.get((4, 1)) is None
     # A check's re-discovery is the destination's to answer.
     got = _discover(sim, 4, 3, dest_only=True)
-    assert got["rrep"].generator == 3
+    assert got["route"].generator == 3
 
 
 def test_data_flows_along_the_installed_route():
@@ -212,7 +280,7 @@ def test_flow_recovers_when_a_link_breaks():
 def test_route_error_marks_the_sources_entry_stale():
     sim = _sim([(1, 2), (2, 3)])
     node = sim.nodes[1]
-    node.table[3] = RoutingEntry(3, 2, 2, 5, 3)
+    node.table[3] = RoutingEntry(3, 2, 2, 5, 3, 3)
     node.handle_no_route_report(pk.NoRouteReport(3, 1, 0), 2)
     assert not node.table[3].fresh
 
@@ -229,8 +297,8 @@ def _report_sink(sim, *nodes):
 def test_mismatched_probe_reply_marks_the_hop_suspect():
     sim = _sim([(1, 2), (2, 3), (2, 4)])
     node = sim.nodes[2]
-    node.table[1] = RoutingEntry(1, 1, 1, 1, 1)
-    node.table[4] = RoutingEntry(4, 4, 1, 1, 4)
+    node.table[1] = RoutingEntry(1, 1, 1, 1, 1, 1)
+    node.table[4] = RoutingEntry(4, 4, 1, 1, 4, 4)
     reports = _report_sink(sim, 1, 4)
     timeouts = []
     timer = sim.engine.schedule_in(1.0, lambda: timeouts.append(sim.now))
@@ -282,9 +350,9 @@ def test_alarm_floods_once_per_id():
 
 def test_a_repeated_suspect_report_for_a_resolved_path_is_ignored():
     sim = _sim([(1, 2), (2, 3), (3, 4)], defense="debh")
-    rrep = _discover(sim, 1, 4)["rrep"]
+    route = _discover(sim, 1, 4)["route"]
     node = sim.nodes[1]
-    session = node.start_check(4, rrep, sim.now, lambda safe: None)
+    session = node.start_check(4, route, sim.now, lambda safe: None)
     floods = sim.metrics.rreq_count_by_source[1]
     report = pk.SuspectReport(1, 2, 1, session.path_number, session.nonce,
                               3, True)
@@ -341,9 +409,9 @@ def test_a_silent_hop_is_reported_once_by_its_prober(answer, claims, wait):
 def _checked_line():
     """Node 1 checks its route on line 1-2-3-4-5."""
     sim = _sim([(1, 2), (2, 3), (3, 4), (4, 5)], defense="debh")
-    rrep = _discover(sim, 1, 5)["rrep"]
+    route = _discover(sim, 1, 5)["route"]
     done = []
-    session = sim.nodes[1].start_check(5, rrep, sim.now, done.append)
+    session = sim.nodes[1].start_check(5, route, sim.now, done.append)
     return sim, session, done
 
 

@@ -1,6 +1,6 @@
 """Check-session bookkeeping, next-target resolution, and verdict walking."""
 
-from debhsim import packets as pk
+from debhsim.aodv import RoutingEntry
 from debhsim.debh import (AUDIT_HEADER, CheckSession, adjudicate,
                           format_audit_row, resolve_next_target)
 from debhsim.metrics import format_ids
@@ -8,7 +8,7 @@ from debhsim.metrics import format_ids
 
 def _session(generator, generator_nhn, bq=(), source=1, dest=9):
     s = CheckSession(source, dest, session_id=1)
-    s.current_rrep = pk.Rrep(source, dest, 1, 5, 1, generator, generator_nhn, True)
+    s.route = RoutingEntry(dest, generator, 1, 5, generator, generator_nhn, True)
     s.blackhole_queue = list(bq)
     return s
 
@@ -48,9 +48,9 @@ def test_session_suspect_queue_dedups_but_generator_queue_does_not():
 
 def test_session_claim_lookup():
     s = CheckSession(1, 9, session_id=1)
-    rrep = pk.Rrep(1, 9, 1, 5, 1, 10, 14, True)
-    s.take_route(rrep)
-    assert s.current_rrep is rrep
+    route = RoutingEntry(9, 10, 1, 5, 10, 14, True)
+    s.take_route(route)
+    assert s.route is route
     assert s.rrep_generator_queue == [10]
     assert s.claims[10] == (14, True)
 
@@ -122,7 +122,7 @@ def test_adjudication_skips_already_condemned_generators():
 
 def test_adjudication_does_not_mutate_the_suspect_queue():
     s = CheckSession(1, 9, session_id=1)
-    s.take_route(pk.Rrep(1, 9, 1, 5, 1, 15, 99, True))
+    s.take_route(RoutingEntry(9, 15, 1, 5, 15, 99, True))
     s.add_suspect(10)
     adjudicate(s, lambda holder, subject: False)
     assert s.blackhole_queue == [10]

@@ -18,14 +18,14 @@ from debhsim.scenario import ScenarioConfig, build_suite, run_scenario, run_suit
 OUTPUTS = ("metrics.csv", "audit.log", "events.trace")
 
 
-def _paper30(seed, defense):
+def _paper30(seed, defense, **kw):
     """The 30-node mobile setting under distributed attack; seed 65 holds
     the known false positive."""
     pool = random.Random(seed).sample(range(1, 31), 4)
     return ScenarioConfig(
         name="paper30", seed=seed, attack_mode="distributed",
         attack_groups=((pool[0], pool[1]), (pool[2], pool[3])),
-        defense=defense, trace=True)
+        defense=defense, trace=True, **kw)
 
 
 def _benign(n, connections, name="benign", **kw):
@@ -43,6 +43,15 @@ RUNS = {
     "paper30-s65-debh": lambda out: run_scenario(_paper30(65, "debh"), out),
     "paper30-s65-none": lambda out: run_scenario(_paper30(65, "none"), out),
     "benign60-s1": lambda out: run_scenario(_benign(60, 20), out),
+    # Relays answer from their own routes.  These pin unsound verdicts:
+    # honest nodes 2 and 8 (paper30, attackers 13, 25, 28 and 29) and
+    # 2, 6, 13, 21, 49 and 52 (benign60, no attacker) are condemned.  The
+    # fix that stops a cached reply from condemning honest nodes re-pins
+    # both.
+    "paper30-s0-debh-cache": lambda out: run_scenario(
+        _paper30(0, "debh", cache_reply=True), out),
+    "benign60-s1-cache": lambda out: run_scenario(
+        _benign(60, 20, cache_reply=True), out),
     # Spans many movement windows and grid cells.
     "benign150-s1": lambda out: run_scenario(_benign(150, 50), out),
     # Nodes never move, so one window lasts the whole run.
@@ -67,6 +76,14 @@ GOLDEN = {
         "events.trace":
             "4c581690a578547a88b97fffde38a1f081c39a39a022ca60bbee86c0ef4f558c",
     },
+    "benign60-s1-cache": {
+        "metrics.csv":
+            "7d59734ad6c6eded679a8c68e087a60de795ad78e4f0e891a36f718f59b54211",
+        "audit.log":
+            "195876d67fe206c3001efbeff56492f0e2f0a52356564d15afbd5064f6b1e141",
+        "events.trace":
+            "1e084e58d034738195887bb813d4a3972ff10941d267c79ab3489df05306fdb0",
+    },
     "paper30-s0-debh": {
         "metrics.csv":
             "cfc1b656c0ce3532de88e346186dcdb4b47d0d1f591b8463c08547fb36195d77",
@@ -74,6 +91,14 @@ GOLDEN = {
             "553097b15b59fee34d37268f95a1e6fbf6d80b48a7c6e34864dc28ae6149b007",
         "events.trace":
             "57c87ae0f71395f127789505cb5da54d19ed7aa5b64f326d04a1a158ba23960e",
+    },
+    "paper30-s0-debh-cache": {
+        "metrics.csv":
+            "4d189c57b03f76dd3386c53fb571a3d9e031e25fd1dca6cde04154ed5959a653",
+        "audit.log":
+            "71a7b661aee68f310902a9187d1f2c05608baf2bf9a6303cbf339c20a46504d9",
+        "events.trace":
+            "11c4572e376ef92e7c9b92e4c277bd540a06c15bfce7d9719dbdc08ed8274048",
     },
     "paper30-s65-debh": {
         "metrics.csv":
@@ -113,7 +138,9 @@ GOLDEN = {
 PROCESSED = {
     "benign150-s1": 22225,
     "benign60-s1": 7859,
+    "benign60-s1-cache": 13360,
     "paper30-s0-debh": 4878,
+    "paper30-s0-debh-cache": 4974,
     "paper30-s65-debh": 4334,
     "paper30-s65-none": 2355,
     "still60-s1": 1826,

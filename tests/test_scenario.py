@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 
 import pytest
 
@@ -193,6 +194,56 @@ def test_cooperative_group_must_be_mutually_in_range():
 def test_single_mode_takes_one_attacker_per_group():
     with pytest.raises(ConfigError, match="single"):
         ScenarioConfig(attack_mode="single", attack_groups=((3, 4),))
+
+
+# Setting name -> (fields that break it, the start of its error message).
+_INVALID = {
+    "nodes": (dict(nodes=()), "nodes: explicit node list is empty"),
+    "arena": (dict(arena=(1000.0, 0.0)), "arena:"),
+    "range_m": (dict(range_m=0.0), "range_m:"),
+    "duration_s": (dict(duration_s=-1.0), "duration_s:"),
+    "speeds": (dict(min_speed=5.0, max_speed=2.0), "min_speed/max_speed:"),
+    "pause_s": (dict(pause_s=-1.0), "pause_s:"),
+    "defense": (dict(defense="watchdog"), "defense:"),
+    "attack.mode": (dict(attack_mode="grayhole"), "attack.mode:"),
+    "empty group": (dict(attack_mode="distributed", attack_groups=((3,), ())),
+                    "attack.groups: empty group"),
+    "unknown member": (dict(attack_mode="single", attack_groups=((99,),)),
+                       "attack.groups: node 99 is not in the network"),
+    "repeated member": (dict(attack_mode="distributed",
+                             attack_groups=((3, 4), (4, 5))),
+                        "attack.groups: node 4 appears twice"),
+    "cooperative size": (dict(attack_mode="cooperative", attack_groups=((3,),)),
+                         "attack.groups: cooperative mode"),
+    "flow endpoint": (dict(flows=((1, 99, 0.0),)),
+                      "traffic.flows: endpoint not in the network"),
+    "flow start": (dict(flows=((1, 2, -1.0),)),
+                   "traffic.flows: negative start time"),
+    "connections": (dict(connections=-1),
+                    "traffic.connections: must not be negative"),
+    "packets_per_connection": (dict(packets_per_connection=0),
+                               "traffic.packets_per_connection:"),
+    "rate_pps": (dict(rate_pps=0.0), "traffic.rate_pps:"),
+    "seq_inflation": (dict(seq_inflation=0), "attack.seq_inflation:"),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(_INVALID))
+def test_an_invalid_setting_is_refused_by_name(setting):
+    fields, message = _INVALID[setting]
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        ScenarioConfig(**fields)
+
+
+def test_a_bad_boolean_names_the_setting(tmp_path):
+    with pytest.raises(ConfigError, match=re.escape("[scenario] cache_reply")):
+        load_config(_write(tmp_path, "[scenario]\ncache_reply = maybe\n"))
+
+
+def test_a_malformed_file_is_a_config_error(tmp_path):
+    # A setting before any [section] header is not INI.
+    with pytest.raises(ConfigError, match="^config file: "):
+        load_config(_write(tmp_path, "node_count = 30\n"))
 
 
 def test_planted_flattens_groups_sorted():
