@@ -13,10 +13,8 @@ class AdversaryGroup:
     names when asked for its next hop.
     """
 
-    def __init__(self, members, seq_inflation, one_victim, victim_quota):
+    def __init__(self, members, victim_quota):
         self.members = sorted(members)
-        self.seq_inflation = seq_inflation
-        self.one_victim = one_victim
         self.victim_quota = victim_quota
         self.engaged = {m: None for m in self.members}
         self.received = {}
@@ -43,16 +41,14 @@ class AdversaryGroup:
         the requester covers the rest; a member already baiting another
         victim stays quiet."""
         eligible = [m for m in self.members
-                    if m != destination
-                    and (not self.one_victim or self.engaged[m] in (None, origin))]
+                    if m != destination and self.engaged[m] in (None, origin)]
         if not eligible:
             return None
         hops = self._hops_from(origin)
         return max(eligible, key=lambda m: (hops.get(m, -1), m))
 
     def engage(self, member, victim):
-        if self.one_victim:
-            self.engaged[member] = victim
+        self.engaged[member] = victim
 
     def note_data(self, member, victim):
         key = (member, victim)
@@ -107,7 +103,7 @@ class AdversaryNode(Node):
         cover = self.group.cover[self.node_id]
         claimed_nhn = cover if cover is not None else rreq.destination
         rrep = pk.Rrep(rreq.origin, rreq.destination, rreq.broadcast_id,
-                       rreq.dest_seq_known + self.group.seq_inflation, 1,
+                       rreq.dest_seq_known + self.sim.cfg.seq_inflation, 1,
                        self.node_id, claimed_nhn, True)
         self.group.engage(self.node_id, rreq.origin)
         self.sim.metrics.forged_rreps += 1

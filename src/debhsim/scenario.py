@@ -25,8 +25,7 @@ class ScenarioConfig:
     Checked when built; a variant is dataclasses.replace(cfg, seed=...)."""
 
     name: str = "default"
-    node_count: int = 30
-    nodes: tuple = None           # explicit ids override 1..node_count
+    node_count: int = 30          # ignored when edges are set
     arena: tuple = (1000.0, 1000.0)
     range_m: float = 200.0
     duration_s: float = 600.0
@@ -34,11 +33,9 @@ class ScenarioConfig:
     min_speed: float = 2.0
     max_speed: float = 20.0
     pause_s: float = 15.0
-    edges: tuple = None           # static adjacency when set
+    edges: tuple = None           # static mesh; its endpoints are the nodes
     attack_mode: str = "none"
     attack_groups: tuple = ()
-    seq_inflation: int = 100
-    one_victim: bool = True
     connections: int = 10
     packets_per_connection: int = 10
     rate_pps: float = 2.0
@@ -56,22 +53,19 @@ class ScenarioConfig:
     discovery_timeout: ClassVar[float] = 1.0
     query_timeout: ClassVar[float] = 0.5
     session_timeout: ClassVar[float] = 30.0
+    # A forged reply claims the requester's known sequence plus this.
+    seq_inflation: ClassVar[int] = 100
 
     def node_ids(self):
-        if self.nodes is not None:
-            return tuple(sorted(set(self.nodes)))
-        ids = set(range(1, self.node_count + 1))
         if self.edges is not None:
-            ids.update(n for e in self.edges for n in e)
-        return tuple(sorted(ids))
+            return tuple(sorted({n for e in self.edges for n in e}))
+        return tuple(range(1, self.node_count + 1))
 
     def planted(self):
         return sorted({m for g in self.attack_groups for m in g})
 
     def __post_init__(self):
-        if self.nodes is not None and not self.nodes:
-            raise ConfigError("nodes: explicit node list is empty")
-        if self.nodes is None and self.node_count < 1:
+        if self.edges is None and self.node_count < 1:
             raise ConfigError("node_count: must be at least 1")
         if self.arena[0] <= 0 or self.arena[1] <= 0:
             raise ConfigError("arena: dimensions must be positive")
@@ -109,8 +103,6 @@ class ScenarioConfig:
                 raise ConfigError("attack.groups: cooperative mode needs at least two nodes")
         if self.edges is not None:
             for u, v in self.edges:
-                if u not in ids or v not in ids:
-                    raise ConfigError("topology: edge %s %s names an unknown node" % (u, v))
                 if u == v:
                     raise ConfigError("topology: self edge on %s" % u)
         if self.flows is not None:
@@ -133,8 +125,6 @@ class ScenarioConfig:
             raise ConfigError("traffic.packets_per_connection: must be at least 1")
         if self.rate_pps <= 0:
             raise ConfigError("traffic.rate_pps: must be positive")
-        if self.seq_inflation < 1:
-            raise ConfigError("attack.seq_inflation: must be at least 1")
 
 
 # ---- config file parsing ----
@@ -180,7 +170,6 @@ _SCHEMA = {
     ("scenario", "range_m"): ("range_m", float),
     ("scenario", "duration_s"): ("duration_s", float),
     ("scenario", "defense"): ("defense", str),
-    ("scenario", "seed"): ("seed", int),
     ("scenario", "cache_reply"): ("cache_reply", _parse_bool),
     ("mobility", "mobile"): ("mobility", _parse_bool),
     ("mobility", "min_speed"): ("min_speed", float),
@@ -188,8 +177,6 @@ _SCHEMA = {
     ("mobility", "pause_s"): ("pause_s", float),
     ("attack", "mode"): ("attack_mode", str),
     ("attack", "groups"): ("attack_groups", _parse_groups),
-    ("attack", "seq_inflation"): ("seq_inflation", int),
-    ("attack", "one_victim"): ("one_victim", _parse_bool),
     ("traffic", "connections"): ("connections", int),
     ("traffic", "packets_per_connection"): ("packets_per_connection", int),
     ("traffic", "rate_pps"): ("rate_pps", float),
@@ -324,8 +311,7 @@ def _fixture(name, attack_groups, flow, seed, defense):
     text = resources.files("debhsim").joinpath("data", name + ".topo").read_text()
     edges = parse_edge_lines(text.splitlines())
     return ScenarioConfig(
-        name=name, nodes=tuple(sorted({n for e in edges for n in e})),
-        edges=edges, attack_mode=name, attack_groups=attack_groups,
+        name=name, edges=edges, attack_mode=name, attack_groups=attack_groups,
         flows=(flow,), defense=defense, seed=seed)
 
 
@@ -356,7 +342,7 @@ def sweep_scenario(k, seed=0, defense="debh"):
         edges.extend((a, hubs[s]) for s in sources)
     edges.extend(combinations(pool, 2))
     return ScenarioConfig(
-        name="sweep%d" % k, node_count=34, edges=tuple(edges),
+        name="sweep%d" % k, edges=tuple(edges),
         attack_mode="cooperative", attack_groups=(tuple(pool[:k]),),
         flows=tuple((s, dest, 0.0) for s in sources),
         defense=defense, seed=seed)
@@ -370,8 +356,7 @@ def benign_scenario(seed=0):
 def trust_decay_scenario(seed=0):
     """A five-node line with the same conversation requested twice."""
     return ScenarioConfig(
-        name="trustdecay", nodes=(1, 2, 3, 4, 5),
-        edges=((1, 2), (2, 3), (3, 4), (4, 5)),
+        name="trustdecay", edges=((1, 2), (2, 3), (3, 4), (4, 5)),
         flows=((1, 5, 0.0), (1, 5, 60.0)), seed=seed)
 
 
@@ -401,6 +386,9 @@ def run_suite(seeds, out_dir=None, defense="debh", trace=False):
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("seeds: need at least one")
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ConfigError("seeds: %d appears twice" % seed)
     rows, summary, sims = [], [], {}
     suites = [build_suite(seed, defense) for seed in seeds]
     for index, cells in enumerate(zip(*suites)):

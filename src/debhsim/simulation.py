@@ -110,8 +110,7 @@ class Simulation:
         self.groups = []
         owner = {}
         for members in cfg.attack_groups:
-            group = AdversaryGroup(members, cfg.seq_inflation, cfg.one_victim,
-                                   cfg.packets_per_connection)
+            group = AdversaryGroup(members, cfg.packets_per_connection)
             group.finalize(self.topology)
             self.groups.append(group)
             for m in group.members:

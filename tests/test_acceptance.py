@@ -4,7 +4,6 @@ Each test covers one headline claim and prints a single pass/fail line,
 so a suite run doubles as the acceptance report.
 """
 
-import dataclasses
 import functools
 
 from debhsim.debh import is_malicious
@@ -153,7 +152,7 @@ def test_criterion_8_outputs_are_deterministic(tmp_path):
 @criterion(9, "after the alarm, twenty forged discoveries never plant a "
               "route through the condemned node")
 def test_criterion_9_alarm_makes_forgeries_inert():
-    sim = run_scenario(dataclasses.replace(single_scenario(), one_victim=False))
+    sim = run_scenario(single_scenario())
     source = sim.nodes[1]
     assert sorted(sim.metrics.detected_malicious) == [3]
     assert 3 in source.banned

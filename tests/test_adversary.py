@@ -144,11 +144,9 @@ def test_attack_without_defense_starves_the_flow():
 
 
 def test_greedy_destination_answers_every_flood_copy():
-    nodes = (1, 2, 3, 4)
-    cfg = ScenarioConfig(name="t", nodes=nodes,
-                         edges=((1, 2), (2, 3), (1, 4), (4, 3)),
+    cfg = ScenarioConfig(name="t", edges=((1, 2), (2, 3), (1, 4), (4, 3)),
                          attack_mode="single", attack_groups=((3,),),
-                         flows=(), connections=1, mobility=False, trace=True)
+                         flows=(), connections=1, trace=True)
     sim = build_simulation(cfg)
     got = {}
     sim.nodes[1].discover(3, (), lambda route, t0: got.update(route=route),

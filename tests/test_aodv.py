@@ -10,11 +10,10 @@ from debhsim.scenario import ScenarioConfig, build_simulation
 
 
 def _sim(edges, flows=(), groups=(), mode="none", **kw):
-    nodes = tuple(sorted({n for e in edges for n in e}))
-    cfg = ScenarioConfig(name="t", nodes=nodes, edges=tuple(edges),
+    cfg = ScenarioConfig(name="t", edges=tuple(edges),
                          attack_mode=mode, attack_groups=tuple(groups),
                          flows=tuple(flows), connections=max(len(flows), 1),
-                         mobility=False, **kw)
+                         **kw)
     return build_simulation(cfg)
 
 

@@ -163,6 +163,16 @@ def test_suite_runs_and_writes_the_combined_csv(tmp_path, capsys):
     assert TIMING.fullmatch(shown.err)
 
 
+def test_suite_with_a_repeated_seed_exits_one(tmp_path, capsys):
+    code = main(["suite", "--seeds", "1,1", "--out", str(tmp_path / "out")])
+    assert code == 1
+    shown = capsys.readouterr()
+    assert "seeds: 1 appears twice" in shown.err
+    assert "Traceback" not in shown.err
+    assert shown.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_suite_prints_the_delivered_summary_line(tmp_path, capsys):
     code = main(["suite", "--seeds", "0..2", "--out", str(tmp_path)])
     assert code == 0

@@ -14,8 +14,7 @@ OUTPUTS = ("metrics.csv", "audit.log", "events.trace")
 
 
 def _mesh(edges, mode, groups, flows, **kw):
-    nodes = tuple(sorted({n for e in edges for n in e}))
-    return ScenarioConfig(name="mesh", nodes=nodes, edges=tuple(sorted(edges)),
+    return ScenarioConfig(name="mesh", edges=tuple(sorted(edges)),
                           attack_mode=mode, attack_groups=groups,
                           flows=tuple(flows), duration_s=120.0, trace=True,
                           **kw)

@@ -48,7 +48,6 @@ arena_height = 600
 range_m = 150
 duration_s = 300
 defense = none
-seed = 9
 cache_reply = yes
 
 [mobility]
@@ -60,8 +59,6 @@ pause_s = 2
 [attack]
 mode = cooperative
 groups = 10,14,15
-seq_inflation = 50
-one_victim = off
 
 [traffic]
 connections = 4
@@ -84,17 +81,14 @@ flows = 1>4; 2>4@30
     assert cfg.mobility is False
     assert cfg.attack_mode == "cooperative"
     assert cfg.attack_groups == ((10, 14, 15),)
-    assert cfg.seq_inflation == 50
-    assert cfg.one_victim is False
     assert cfg.flows == ((1, 4, 0.0), (2, 4, 30.0))
     assert cfg.edges == ((1, 2), (2, 4), (2, 10), (10, 14), (10, 15), (14, 15))
     assert cfg == ScenarioConfig(
         name="demo", node_count=16, arena=(800.0, 600.0), range_m=150.0,
-        duration_s=300.0, defense="none", seed=9, cache_reply=True,
+        duration_s=300.0, defense="none", cache_reply=True,
         mobility=False, min_speed=1.0, max_speed=5.0, pause_s=2.0,
         attack_mode="cooperative", attack_groups=((10, 14, 15),),
-        seq_inflation=50, one_victim=False, connections=4,
-        packets_per_connection=6, rate_pps=1.0,
+        connections=4, packets_per_connection=6, rate_pps=1.0,
         flows=((1, 4, 0.0), (2, 4, 30.0)),
         edges=((1, 2), (2, 4), (2, 10), (10, 14), (10, 15), (14, 15)))
 
@@ -109,13 +103,18 @@ def test_unknown_key_is_rejected_by_name(tmp_path):
     # timing is part of the model, so a [timing] section is refused too.
     keys = [("scenario", "node_cout"), ("traffic", "payload_bytes")]
     keys += [("timing", name + "_s") for name in _TIMING]
+    # The seed is the run's argument, a forged reply's inflation is a
+    # model constant, and every attacker baits one victim at a time.
+    keys += [("scenario", "seed"), ("attack", "seq_inflation"),
+             ("attack", "one_victim")]
     for section, key in keys:
         with pytest.raises(ConfigError, match=key):
             load_config(_write(tmp_path, "[%s]\n%s = 30\n" % (section, key)))
 
 
 def test_protocol_timing_is_fixed_by_the_model():
-    for name, value in _TIMING.items():
+    # So is the sequence number a forged reply adds.
+    for name, value in {**_TIMING, "seq_inflation": 100}.items():
         with pytest.raises(TypeError):
             ScenarioConfig(**{name: value})
         assert getattr(ScenarioConfig(), name) == value
@@ -177,16 +176,21 @@ def test_edge_lines_parse_and_reject_garbage():
         parse_edge_lines(["a b"])
 
 
-def test_edges_must_name_known_nodes():
-    with pytest.raises(ConfigError, match="unknown node"):
-        ScenarioConfig(nodes=(1, 2), edges=((1, 5),))
+def test_a_mesh_is_its_edge_endpoints():
+    # node_count sizes a random-waypoint arena only; a mesh has no
+    # isolated padding nodes.
+    cfg = ScenarioConfig(node_count=30, edges=((1, 5), (5, 9)))
+    assert cfg.node_ids() == (1, 5, 9)
+    assert sorted(build_simulation(cfg).nodes) == [1, 5, 9]
+    assert single_scenario().node_ids() == (1, 2, 3, 4)
+    assert ScenarioConfig(node_count=3).node_ids() == (1, 2, 3)
 
 
 def test_cooperative_group_must_be_mutually_in_range():
     cfg = ScenarioConfig(
-        nodes=(1, 2, 3, 4), edges=((1, 3), (1, 4), (2, 3), (2, 4)),
+        edges=((1, 3), (1, 4), (2, 3), (2, 4)),
         attack_mode="cooperative", attack_groups=((3, 4),),
-        flows=(), connections=1, mobility=False)
+        flows=(), connections=1)
     with pytest.raises(ConfigError, match="not in range"):
         build_simulation(cfg)
 
@@ -198,7 +202,6 @@ def test_single_mode_takes_one_attacker_per_group():
 
 # Setting name -> (fields that break it, the start of its error message).
 _INVALID = {
-    "nodes": (dict(nodes=()), "nodes: explicit node list is empty"),
     "arena": (dict(arena=(1000.0, 0.0)), "arena:"),
     "range_m": (dict(range_m=0.0), "range_m:"),
     "duration_s": (dict(duration_s=-1.0), "duration_s:"),
@@ -224,7 +227,6 @@ _INVALID = {
     "packets_per_connection": (dict(packets_per_connection=0),
                                "traffic.packets_per_connection:"),
     "rate_pps": (dict(rate_pps=0.0), "traffic.rate_pps:"),
-    "seq_inflation": (dict(seq_inflation=0), "attack.seq_inflation:"),
 }
 
 

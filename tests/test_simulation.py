@@ -14,10 +14,9 @@ from test_golden import GOLDEN, _benign, _digests, _paper30
 
 
 def _sim(edges, flows=(), trace=False, **kw):
-    nodes = tuple(sorted({n for e in edges for n in e}))
-    cfg = ScenarioConfig(name="t", nodes=nodes, edges=tuple(edges),
+    cfg = ScenarioConfig(name="t", edges=tuple(edges),
                          flows=tuple(flows), connections=max(len(flows), 1),
-                         mobility=False, trace=trace, **kw)
+                         trace=trace, **kw)
     return build_simulation(cfg)
 
 
