@@ -8,44 +8,34 @@ from .topology import bfs_hops
 class AdversaryGroup:
     """Shared coordination state for one set of mutually aware attackers.
 
-    Members know each other's placement, so the group can agree on a
-    single reply forger per discovery and on which peer each member
-    names when asked for its next hop.
+    Members know each other's placement where the run starts, so the
+    group can agree on a single reply forger per discovery and on which
+    peer each member names when asked for its next hop.
     """
 
-    def __init__(self, members, victim_quota):
+    def __init__(self, members, victim_quota, topology):
         self.members = sorted(members)
         self.victim_quota = victim_quota
         self.engaged = {m: None for m in self.members}
         self.received = {}
-        self.cover = {m: None for m in self.members}
-        self.topology = None
-        self._hops_cache = {}
-
-    def finalize(self, topology):
-        self.topology = topology
-        for m in self.members:
+        # Hop counts from each member where the run starts.
+        self.hops = {m: bfs_hops(topology, m, 0.0) for m in self.members}
+        self.cover = {}
+        for m, hops in self.hops.items():
             peers = [p for p in self.members if p != m]
-            if peers:
-                hops = bfs_hops(topology, m, 0.0)
-                self.cover[m] = min(peers, key=lambda p: (hops.get(p, 1 << 30), p))
-
-    def _hops_from(self, origin):
-        if origin not in self._hops_cache:
-            # t=0, not sim.now: ROADMAP item 2 moves it, changing outputs.
-            self._hops_cache[origin] = bfs_hops(self.topology, origin, 0.0)
-        return self._hops_cache[origin]
+            self.cover[m] = min(peers, default=None,
+                                key=lambda p: (hops.get(p, 1 << 30), p))
 
     def designated_forger(self, origin, destination):
         """The member who answers this discovery: the one farthest from
         the requester covers the rest; a member already baiting another
-        victim stays quiet."""
+        victim stays quiet.  Links are symmetric, so a member's hop count
+        to the requester is the requester's to it."""
         eligible = [m for m in self.members
                     if m != destination and self.engaged[m] in (None, origin)]
         if not eligible:
             return None
-        hops = self._hops_from(origin)
-        return max(eligible, key=lambda m: (hops.get(m, -1), m))
+        return max(eligible, key=lambda m: (self.hops[m].get(origin, -1), m))
 
     def engage(self, member, victim):
         self.engaged[member] = victim

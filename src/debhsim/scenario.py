@@ -65,18 +65,24 @@ class ScenarioConfig:
         return sorted({m for g in self.attack_groups for m in g})
 
     def __post_init__(self):
-        if self.edges is None and self.node_count < 1:
-            raise ConfigError("node_count: must be at least 1")
-        if self.arena[0] <= 0 or self.arena[1] <= 0:
-            raise ConfigError("arena: dimensions must be positive")
-        if self.range_m <= 0:
-            raise ConfigError("range_m: must be positive")
+        if self.edges is None:
+            # The arena and its movement apply only without a mesh.
+            if self.node_count < 1:
+                raise ConfigError("node_count: must be at least 1")
+            if self.arena[0] <= 0 or self.arena[1] <= 0:
+                raise ConfigError("arena: dimensions must be positive")
+            if self.range_m <= 0:
+                raise ConfigError("range_m: must be positive")
+            if self.min_speed <= 0 or self.max_speed < self.min_speed:
+                raise ConfigError("min_speed/max_speed: need 0 < min <= max")
+            if self.pause_s < 0:
+                raise ConfigError("pause_s: must not be negative")
+        else:
+            for u, v in self.edges:
+                if u == v:
+                    raise ConfigError("topology: self edge on %s" % u)
         if self.duration_s <= 0:
             raise ConfigError("duration_s: must be positive")
-        if self.min_speed <= 0 or self.max_speed < self.min_speed:
-            raise ConfigError("min_speed/max_speed: need 0 < min <= max")
-        if self.pause_s < 0:
-            raise ConfigError("pause_s: must not be negative")
         if self.defense not in DEFENSES:
             raise ConfigError("defense: must be one of %s" % (DEFENSES,))
         if self.attack_mode not in ATTACK_MODES:
@@ -101,10 +107,6 @@ class ScenarioConfig:
                 raise ConfigError("attack.groups: single mode takes one node per group")
             if self.attack_mode == "cooperative" and len(group) < 2:
                 raise ConfigError("attack.groups: cooperative mode needs at least two nodes")
-        if self.edges is not None:
-            for u, v in self.edges:
-                if u == v:
-                    raise ConfigError("topology: self edge on %s" % u)
         if self.flows is not None:
             for src, dst, start in self.flows:
                 if src not in ids or dst not in ids:

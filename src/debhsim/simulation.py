@@ -110,8 +110,8 @@ class Simulation:
         self.groups = []
         owner = {}
         for members in cfg.attack_groups:
-            group = AdversaryGroup(members, cfg.packets_per_connection)
-            group.finalize(self.topology)
+            group = AdversaryGroup(members, cfg.packets_per_connection,
+                                   self.topology)
             self.groups.append(group)
             for m in group.members:
                 owner[m] = group
@@ -197,7 +197,7 @@ class Simulation:
 
     def _mobility_step(self, node_id):
         t = self.topology.step(node_id, self.engine.now, self.rng)
-        if t is None or t <= self.engine.now or t > self.cfg.duration_s:
+        if t is None or t > self.cfg.duration_s:
             return
         self.engine.schedule(t, lambda: self._mobility_step(node_id),
                              node=node_id, kind="move")

@@ -98,13 +98,16 @@ class GeometricTopology:
     distance of two nodes at any now in [t0, t0 + W] differs from their
     d0 by at most the band 2 * max_speed * (now - t0) <= skin; nodes
     within range_m at now were within range_m + skin at t0.  A window
-    therefore serves queries whose now lies in [t0, t0 + W] and is no
-    earlier than any movement change step() made since t0.  An earlier
-    now, such as the t=0 hop count of forger choice in the middle of a
-    run, rebuilds the window: a leg change moves the node at past times
-    too, because position() runs the current leg backward for times
-    before it started.  Nodes that never move get an endless window, no
-    skin and a band of only the rounding margin below.
+    therefore serves every query whose now lies in [t0, t0 + W].  A later
+    now opens a new window there.
+
+    Callers query and step in time order, as the simulation clock runs:
+    a step() leaves every position at its own instant where it was, and
+    no query asks about an instant before it.  position() runs the
+    current leg backward for times before it started, so the past is not
+    served: a query or a step() earlier than the window's start raises
+    ValueError.  Nodes that never move get an endless window, no skin and
+    a band of only the rounding margin below.
 
     The band decides most links without positions at now: a pair with
     d0 <= range_m - band is in range, and one with d0 > range_m + band
@@ -138,12 +141,10 @@ class GeometricTopology:
         self._drift = 2 * max_speed if mobile else 0.0
         self._margin = range_m * (_CELL_SLACK - 1)
         self._cell_w = self._reach * _CELL_SLACK
-        # The window: its start t0, the latest change step() made since
-        # (inf after one earlier than t0, which forces a rebuild),
-        # positions and cells at t0, and the candidate lists built so far,
-        # each (id, distance at t0) pairs.
-        self._t0 = math.inf
-        self._changed = -math.inf
+        # The window: its start t0 (-inf before the first), positions
+        # and cells at t0, and the candidate lists built so far, each
+        # (id, distance at t0) pairs.
+        self._t0 = -math.inf
         self._pos0 = self._cells = self._cand = None
         # Positions at the latest queried instant.
         self._memo = None
@@ -190,22 +191,16 @@ class GeometricTopology:
         """Advance the node's movement state; returns next transition time."""
         if not self.mobile:
             return None
+        if now < self._t0:
+            raise _before_window(now, self._t0)
         k = self._kin[node]
         if k.pause_until is None and now >= k.arrive_time:
             k.start_pos = k.waypoint
             k.pause_until = now + self.pause_s
-            self._moved(now)
             return k.pause_until
         if k.pause_until is not None and now >= k.pause_until:
-            self._moved(now)
             return self._start_leg(node, now, rng)
         return k.arrive_time if k.pause_until is None else k.pause_until
-
-    def _moved(self, now):
-        # The change leaves positions from `now` on continuous, but a
-        # change before t0 moves the window's own positions.
-        self._changed = max(self._changed, now) if now >= self._t0 else math.inf
-        self._memo = None
 
     def _open_window(self, now):
         pos0 = _Positions(self, now)
@@ -215,7 +210,7 @@ class GeometricTopology:
         for n, (x, y) in pos0.items():
             cells.setdefault((math.floor(x / w), math.floor(y / w)),
                              []).append(n)
-        self._t0, self._changed = now, -math.inf
+        self._t0 = now
         self._pos0, self._cells, self._cand = pos0, cells, {}
         self._memo = pos0
 
@@ -236,10 +231,13 @@ class GeometricTopology:
 
     def _band(self, now):
         """How far a distance at `now` may lie from its d0, rounding
-        included, or None if the window does not serve `now`."""
+        included, or None if `now` lies after the window (ValueError
+        before it)."""
         t0 = self._t0
-        if t0 <= now <= t0 + self._window_s and now >= self._changed:
+        if t0 <= now <= t0 + self._window_s:
             return self._drift * (now - t0) + self._margin
+        if now < t0:
+            raise _before_window(now, t0)
         return None
 
     def _at(self, now):
@@ -283,6 +281,11 @@ class GeometricTopology:
                 return False
         pos = self._at(now)
         return math.dist(pos[u], pos[v]) <= range_m
+
+
+def _before_window(now, t0):
+    return ValueError("time %r is before the movement window at %r; "
+                      "the radio serves no past instant" % (now, t0))
 
 
 def bfs_hops(topology, origin, now):

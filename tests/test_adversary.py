@@ -2,11 +2,16 @@
 
 from dataclasses import replace
 
+import pytest
+
+from attackers import OnOffAttacker, ProbeAwareAttacker
 from debhsim import packets as pk
+from debhsim import simulation
 from debhsim.adversary import AdversaryNode
 from debhsim.aodv import Node, RoutingEntry
 from debhsim.scenario import (ScenarioConfig, build_simulation,
-                              cooperative_fixture, single_scenario)
+                              cooperative_fixture, distributed_fixture,
+                              run_scenario, single_scenario)
 
 
 def _fixture_sim(trace=False):
@@ -188,3 +193,31 @@ def test_attacker_relays_alarms_without_obeying_them():
     sends = [line for line in sim.engine.trace
              if line.split(",")[1] == "10" and ",send_alarm," in line]
     assert len(sends) == 1
+
+
+# ---- attackers the check does not catch yet ----
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="trust never "
+                   "expires: 3 earns it while honest, the later check walks "
+                   "it with ordinal probes and says safe,3, and 3 drops 10 "
+                   "of 10 packets")
+def test_an_attacker_that_turns_after_earning_trust_is_condemned(monkeypatch):
+    # Honest until 30 s: the first flow's check makes 2 and 4 trust 3;
+    # the second flow starts after the switch.
+    monkeypatch.setattr(simulation, "AdversaryNode", OnOffAttacker)
+    cfg = ScenarioConfig(name="onoff", edges=((1, 2), (2, 3), (3, 4), (4, 5)),
+                         attack_mode="single", attack_groups=((3,),),
+                         flows=((1, 5, 0.0), (1, 4, 60.0)), connections=2)
+    sim = run_scenario(cfg)
+    assert 3 in sim.metrics.detected_malicious
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="probe nonces "
+                   "and Acks are not authenticated: an attacker that echoes "
+                   "the probe and forges the target's Ack passes the check; "
+                   "only 14 and 16 are condemned")
+def test_an_attacker_that_answers_the_check_is_condemned(monkeypatch):
+    monkeypatch.setattr(simulation, "AdversaryNode", ProbeAwareAttacker)
+    cfg = distributed_fixture(seed=0)
+    sim = run_scenario(cfg)
+    assert sorted(sim.metrics.detected_malicious) == cfg.planted()

@@ -237,6 +237,17 @@ def test_an_invalid_setting_is_refused_by_name(setting):
         ScenarioConfig(**fields)
 
 
+def test_a_mesh_ignores_the_arena_and_its_movement():
+    # A mesh never reads these, so values an arena refuses are accepted.
+    unread = dict(arena=(1000.0, 0.0), range_m=0.0, min_speed=0.0,
+                  max_speed=0.0, pause_s=-1.0)
+    for setting in ("arena", "range_m", "speeds", "pause_s"):
+        assert set(_INVALID[setting][0]) <= set(unread)
+    cfg = ScenarioConfig(edges=((1, 2), (2, 3)), flows=((1, 3, 0.0),),
+                         **unread)
+    assert run_scenario(cfg).metrics.total_delivered() == 10
+
+
 def test_a_bad_boolean_names_the_setting(tmp_path):
     with pytest.raises(ConfigError, match=re.escape("[scenario] cache_reply")):
         load_config(_write(tmp_path, "[scenario]\ncache_reply = maybe\n"))

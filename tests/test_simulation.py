@@ -6,10 +6,13 @@ from dataclasses import replace
 import pytest
 
 from debhsim import packets as pk
+from debhsim import simulation
 from debhsim.debh import AUDIT_HEADER
+from debhsim.engine import Simulator
 from debhsim.scenario import (ScenarioConfig, build_simulation, run_scenario,
                               single_scenario, trust_decay_scenario,
                               write_outputs)
+from debhsim.topology import GeometricTopology
 from test_golden import GOLDEN, _benign, _digests, _paper30
 
 
@@ -231,3 +234,41 @@ def test_session_rows_collect_after_the_run():
     assert (session.source, session.final_destination) == (1, 4)
     assert session.state == "done"
     assert session.verdict == [3]
+
+
+def test_every_radio_query_reads_the_clock(monkeypatch):
+    # An attacked mobile run: forger choice once asked t=0 hop counts
+    # while the clock was ahead (27 such calls on this seed).
+    engines, stale, calls = [], [], []
+
+    def recording_simulator(*args, **kwargs):
+        engines.append(Simulator(*args, **kwargs))
+        return engines[-1]
+    monkeypatch.setattr(simulation, "Simulator", recording_simulator)
+    for name in ("neighbors", "has_link"):
+        def checked(topo, *args, _query=getattr(GeometricTopology, name)):
+            calls.append(args)
+            if args[-1] != engines[-1].now:
+                stale.append((args, engines[-1].now))
+            return _query(topo, *args)
+        monkeypatch.setattr(GeometricTopology, name, checked)
+    sim = build_simulation(replace(_paper30(31, "debh"), trace=False))
+    sim.run()
+    assert len(calls) > 100 and sim.metrics.forged_rreps > 0
+    assert stale == []
+
+
+def test_nodes_without_a_pause_keep_moving():
+    # With pause_s = 0 an arrival's pause ends at once, at the same
+    # instant; the node must still set off on its next leg.
+    sim = build_simulation(ScenarioConfig(name="t", pause_s=0.0,
+                                          connections=0))
+    steps = {n: 0 for n in sim.topology.nodes}
+    step = sim.topology.step
+
+    def counted(node, now, rng):
+        steps[node] += 1
+        return step(node, now, rng)
+    sim.topology.step = counted
+    sim.run()
+    assert min(steps.values()) > 2

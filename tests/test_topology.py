@@ -235,14 +235,13 @@ def test_grid_neighbors_equal_a_full_scan_while_moving(seed, now, range_m):
        range_m=st.sampled_from([40.0, 90.0]),
        moves=st.lists(st.one_of(
            st.floats(0.0, 0.3), st.floats(0.0, 4.0),
-           st.sampled_from(["next", "edge", "past", "back"])), max_size=25))
+           st.sampled_from(["next", "edge", "past"])), max_size=25))
 def test_neighbors_equal_a_full_scan_along_a_timeline(seed, mobile, range_m,
                                                        moves):
     # Time runs forward as in a simulation: step() at each node's
     # transition times (arrive, pause, new leg), queries in between.
     # "next" queries at a transition's own instant, "edge" at the end of
-    # the current window and "past" just after it; "back" queries t=0,
-    # as forger choice does in the middle of a run.
+    # the current window and "past" just after it.
     topo = _geo(seed=seed, mobile=mobile, nodes=range(1, 21),
                 arena=(300.0, 300.0), range_m=range_m, min_speed=10.0,
                 pause_s=1.0)
@@ -250,9 +249,6 @@ def test_neighbors_equal_a_full_scan_along_a_timeline(seed, mobile, range_m,
     due = [(0.0, n) for n in topo.nodes]
     now = 0.0
     for move in moves:
-        if move == "back":
-            _assert_full_scan(topo, 0.0)
-            continue
         edge = topo._t0 + topo._window_s
         if move == "next":
             now = max(now, due[0][0]) if due else now
@@ -275,31 +271,44 @@ def test_neighbors_equal_a_full_scan_along_a_timeline(seed, mobile, range_m,
 
 
 def test_past_time_queries_follow_leg_changes():
-    # Forger choice asks bfs_hops(..., 0.0) mid-run; after legs change,
-    # positions at t=0 change with them, so the window must not survive.
+    # Legs change as the clock runs; queries at the clock follow them.
+    # Once a window has opened at a later time, t=0 is the past: a query
+    # there raises rather than running the current legs backward.
     topo = _geo(seed=13)
     rng = random.Random(13)
     before = {n: topo.neighbors(n, 0.0) for n in topo.nodes}
-    for node in topo.nodes:
-        t = 0.0
-        for _ in range(4):  # no-op, arrive, new leg, arrive
-            t = topo.step(node, t, rng)
-    truth = {n: _brute_neighbors(topo, n, 0.0) for n in topo.nodes}
-    assert truth != before
-    assert {n: topo.neighbors(n, 0.0) for n in topo.nodes} == truth
+    due = [(0.0, n) for n in topo.nodes]
+    now = 0.0
+    while now <= topo._window_s:  # no-op, arrive, new leg, arrive, ...
+        now, node = heapq.heappop(due)
+        heapq.heappush(due, (topo.step(node, now, rng), node))
+    _assert_full_scan(topo, now)
+    assert {n: _brute_neighbors(topo, n, now) for n in topo.nodes} != before
+    assert topo._t0 == now
+    for past in (lambda: topo.neighbors(topo.nodes[0], 0.0),
+                 lambda: topo.has_link(topo.nodes[0], topo.nodes[1], 0.0)):
+        with pytest.raises(ValueError, match="before the movement window"):
+            past()
 
 
 def test_a_leg_that_began_before_the_window_rebuilds_it():
+    # A leg that began before the window is part of the positions the
+    # window opens with.  A step() earlier than the window's start, out
+    # of time order, raises and leaves the window as it stands.
     topo = _geo(seed=13)
     rng = random.Random(13)
     node = topo.nodes[0]
     pause_end = topo.step(node, topo._kin[node].arrive_time, rng)
+    assert topo.step(node, pause_end, rng) > pause_end  # the new leg
     late = pause_end + 60.0
-    before = {n: _brute_neighbors(topo, n, late) for n in topo.nodes}
     _assert_full_scan(topo, late)
-    # Out of time order: the new leg moves the node at `late` too.
-    topo.step(node, pause_end, rng)
-    assert {n: _brute_neighbors(topo, n, late) for n in topo.nodes} != before
+    assert topo._t0 == late
+    with pytest.raises(ValueError, match="before the movement window"):
+        topo.step(node, pause_end, rng)
+    assert topo._t0 == late
+    # The window's own start is still served, and steps go on from it.
+    _assert_full_scan(topo, late)
+    topo.step(node, late, rng)
     _assert_full_scan(topo, late)
 
 
