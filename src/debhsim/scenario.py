@@ -381,9 +381,12 @@ def run_suite(seeds, out_dir=None, defense="debh", trace=False):
 
     Returns (csv_rows, summary, sims): rows ordered by (scenario index,
     seed), a per-scenario summary of detection results, and the finished
-    simulations keyed by (scenario index, seed).  A traced suite written
-    to out_dir returns its sims without their trace (engine.trace is
-    None): each cell's trace lives in its <scenario>-s<seed>-events.trace.
+    simulations keyed by (scenario index, seed).  A returned sim keeps
+    its cfg, engine counters, metrics, flows and sessions_all.  Written
+    to out_dir, its trace and audit lines live only in its files
+    (engine.trace and audit_lines are None); with out_dir None they stay.
+    Its network (nodes, topology, groups) is gone: use run_scenario to
+    inspect nodes.
     """
     seeds = list(seeds)
     if not seeds:
@@ -400,11 +403,16 @@ def run_suite(seeds, out_dir=None, defense="debh", trace=False):
             sim = sims[(index, seed)] = run_scenario(cfg)
             if out_dir is not None:
                 write_outputs(sim, out_dir, prefix="%s-s%d-" % (cfg.name, seed))
-                # The file holds the trace now; keeping every cell's lines
-                # until the suite returns is most of its peak memory.
-                sim.engine.trace = None
+                # The files hold the trace and audit lines now; keeping
+                # every cell's lines until the suite returns is most of
+                # its peak memory.
+                sim.engine.trace = sim.audit_lines = None
             rows += sim.metrics.csv_rows(cfg.name, seed, cfg.planted())
             detected_sets.append(sim.metrics.detected_malicious)
+            # Only the running network reads these; a finished cell kept
+            # whole would hold its nodes' tables until the suite returns.
+            sim.nodes = sim.topology = sim.groups = sim.sessions = None
+            sim.rng = None
         planted = set(cfg.planted())
         summary.append({
             "scenario": cfg.name,

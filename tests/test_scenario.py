@@ -1,11 +1,15 @@
 """Config parsing, validation, the standard scenario set, and outputs."""
 
 import dataclasses
+import gc
 import os
 import re
+import types
 
 import pytest
 
+from debhsim.adversary import AdversaryGroup, AdversaryNode
+from debhsim.aodv import Node
 from debhsim.debh import AUDIT_HEADER
 from debhsim.metrics import CSV_HEADER
 from debhsim.scenario import (ConfigError, ScenarioConfig, build_simulation,
@@ -14,6 +18,7 @@ from debhsim.scenario import (ConfigError, ScenarioConfig, build_simulation,
                               load_config, parse_edge_lines, run_scenario,
                               run_suite, single_scenario, sweep_scenario,
                               trust_decay_scenario)
+from debhsim.topology import GeometricTopology, StaticTopology
 
 
 def _write(tmp_path, text):
@@ -342,14 +347,45 @@ def test_traced_suite_keeps_each_trace_in_its_file_only(tmp_path):
     out = tmp_path / "suite"
     _, _, sims = run_suite([0, 1], str(out), trace=True)
     assert len(sims) == 14
-    assert all(sim.engine.trace is None for sim in sims.values())
     for (_, seed), sim in sims.items():
-        trace = out / ("%s-s%d-events.trace" % (sim.cfg.name, seed))
-        assert trace.stat().st_size > 0
-    # With nothing written, the traces stay on the sims.
+        assert sim.engine.trace is None
+        assert sim.audit_lines is None
+        prefix = "%s-s%d-" % (sim.cfg.name, seed)
+        assert (out / (prefix + "events.trace")).stat().st_size > 0
+        audit = (out / (prefix + "audit.log")).read_text().splitlines()
+        assert audit[0] == AUDIT_HEADER
+        assert len(audit) > 1
+    # With nothing written, the traces and audit lines stay on the sims.
     _, _, kept = run_suite([0, 1], None, trace=True)
     assert len(kept) == 14
     assert all(sim.engine.trace for sim in kept.values())
+    assert all(sim.audit_lines for sim in kept.values())
+
+
+def test_suite_sims_keep_their_record_but_not_their_network(tmp_path):
+    _, _, sims = run_suite([0, 1], str(tmp_path / "suite"), trace=True)
+    network = (Node, AdversaryNode, AdversaryGroup, StaticTopology,
+               GeometricTopology)
+    seen, stack, reached = set(), [sims], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (types.ModuleType, type)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, network):
+            reached.append(type(obj).__name__)
+        stack.extend(gc.get_referents(obj))
+    assert reached == []
+    for (_, seed), sim in sims.items():
+        cfg = sim.cfg
+        alone = run_scenario(cfg)
+        assert sim.engine.processed == alone.engine.processed
+        assert (sim.metrics.csv_rows(cfg.name, seed, cfg.planted())
+                == alone.metrics.csv_rows(cfg.name, seed, cfg.planted()))
+        assert ([f.state for f in sim.flows]
+                == [f.state for f in alone.flows])
+        assert ([s.state for s in sim.sessions_all]
+                == [s.state for s in alone.sessions_all])
 
 
 def test_run_suite_needs_at_least_one_seed():
