@@ -109,7 +109,7 @@ class AdversaryNode(Node):
     def handle_nhn_query(self, pkt, sender):
         cover = self.group.cover[self.node_id]
         claimed = cover if cover is not None else pkt.target
-        reply = pk.NhnReply(claimed, True, pkt.asker, pkt.random_number)
+        reply = pk.NhnReply(claimed, True, pkt.random_number)
         self.sim.unicast(self.node_id, sender, reply, force=True)
 
     def handle_bch_query(self, pkt, sender):

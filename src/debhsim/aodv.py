@@ -173,8 +173,8 @@ class Node:
         pk.Ack: ("handle_ack", "source"),
         pk.SuspectReport: ("handle_suspect_report", "source"),
         pk.NoRouteReport: ("handle_no_route_report", "source"),
-        pk.NhnQuery: ("handle_nhn_query", "addressee"),
-        pk.NhnReply: ("handle_nhn_reply", "asker"),
+        pk.NhnQuery: ("handle_nhn_query", None),
+        pk.NhnReply: ("handle_nhn_reply", None),
         pk.BchQuery: ("handle_bch_query", "addressee"),
         pk.BchReply: ("handle_bch_reply", "asker"),
     }
@@ -379,8 +379,7 @@ class Node:
 
     def _suspicion(self, probe):
         """Ask the silent hop for its next hop, then report it."""
-        query = pk.NhnQuery(self.node_id, probe.nhn, probe.target,
-                            probe.random_number)
+        query = pk.NhnQuery(probe.target, probe.random_number)
         if self.sim.unicast(self.node_id, probe.nhn, query):
             timer = self.sim.engine.schedule_in(
                 self.sim.cfg.query_timeout,
@@ -396,8 +395,7 @@ class Node:
     def handle_nhn_query(self, pkt, sender):
         entry = self.fresh_route(pkt.target)
         nhn = entry.next_hop if entry is not None else None
-        reply = pk.NhnReply(nhn, nhn in self.trusted, pkt.asker,
-                            pkt.random_number)
+        reply = pk.NhnReply(nhn, nhn in self.trusted, pkt.random_number)
         self.sim.unicast(self.node_id, sender, reply, force=True)
 
     def handle_nhn_reply(self, pkt, sender):

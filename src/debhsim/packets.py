@@ -131,8 +131,6 @@ class NoRouteReport:
 
 @dataclass(slots=True)
 class NhnQuery:
-    asker: int
-    addressee: int
     target: int
     random_number: int = 0
 
@@ -141,7 +139,6 @@ class NhnQuery:
 class NhnReply:
     nhn: int
     trust_for_nhn: bool
-    asker: int
     random_number: int = 0
 
 

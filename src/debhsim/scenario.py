@@ -29,7 +29,6 @@ class ScenarioConfig:
     arena: tuple = (1000.0, 1000.0)
     range_m: float = 200.0
     duration_s: float = 600.0
-    mobility: bool = True
     min_speed: float = 2.0
     max_speed: float = 20.0
     pause_s: float = 15.0
@@ -173,7 +172,6 @@ _SCHEMA = {
     ("scenario", "duration_s"): ("duration_s", float),
     ("scenario", "defense"): ("defense", str),
     ("scenario", "cache_reply"): ("cache_reply", _parse_bool),
-    ("mobility", "mobile"): ("mobility", _parse_bool),
     ("mobility", "min_speed"): ("min_speed", float),
     ("mobility", "max_speed"): ("max_speed", float),
     ("mobility", "pause_s"): ("pause_s", float),

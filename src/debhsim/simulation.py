@@ -104,8 +104,7 @@ class Simulation:
         else:
             self.topology = GeometricTopology(
                 node_ids, cfg.arena, cfg.range_m, cfg.min_speed,
-                cfg.max_speed, cfg.pause_s, self.rng,
-                mobile=cfg.mobility)
+                cfg.max_speed, cfg.pause_s, self.rng)
 
         self.groups = []
         owner = {}
@@ -197,7 +196,7 @@ class Simulation:
 
     def _mobility_step(self, node_id):
         t = self.topology.step(node_id, self.engine.now, self.rng)
-        if t is None or t > self.cfg.duration_s:
+        if t > self.cfg.duration_s:
             return
         self.engine.schedule(t, lambda: self._mobility_step(node_id),
                              node=node_id, kind="move")
@@ -205,7 +204,7 @@ class Simulation:
     # ---- run ----
 
     def run(self):
-        if self.topology.mobile:
+        if self.cfg.edges is None:
             for nid in self.topology.nodes:
                 self._mobility_step(nid)
         for flow in self.flows:

@@ -19,8 +19,6 @@ class UnknownNodeError(KeyError):
 class StaticTopology:
     """Fixed symmetric adjacency; nodes never move."""
 
-    mobile = False
-
     def __init__(self, nodes, edges):
         self.nodes = sorted(nodes)
         self._adj = {n: set() for n in self.nodes}
@@ -42,22 +40,14 @@ class StaticTopology:
             raise UnknownNodeError((u, v))
         return v in self._adj[u]
 
-    def step(self, node, now, rng):
-        # Nothing moves; nothing to reschedule.
-        return None
-
 
 class _Kinematics:
+    """One node's leg: from start_pos to waypoint at speed, leaving at
+    leg_start and arriving at arrive_time, then paused until pause_until
+    (None while travelling).  _start_leg sets every field."""
+
     __slots__ = ("start_pos", "waypoint", "speed", "leg_start",
                  "arrive_time", "pause_until")
-
-    def __init__(self):
-        self.start_pos = (0.0, 0.0)
-        self.waypoint = (0.0, 0.0)
-        self.speed = 0.0
-        self.leg_start = 0.0
-        self.arrive_time = 0.0
-        self.pause_until = None  # set while paused
 
 
 class _Positions(dict):
@@ -106,8 +96,7 @@ class GeometricTopology:
     no query asks about an instant before it.  position() runs the
     current leg backward for times before it started, so the past is not
     served: a query or a step() earlier than the window's start raises
-    ValueError.  Nodes that never move get an endless window, no skin and
-    a band of only the rounding margin below.
+    ValueError.
 
     The band decides most links without positions at now: a pair with
     d0 <= range_m - band is in range, and one with d0 > range_m + band
@@ -121,24 +110,20 @@ class GeometricTopology:
     exact test would give.
     """
 
-    mobile = True
-
     def __init__(self, nodes, arena, range_m, min_speed, max_speed,
-                 pause_s, rng, mobile=True):
+                 pause_s, rng):
         self.nodes = sorted(nodes)
         self.arena = arena
         self.range_m = range_m
         self.min_speed = min_speed
         self.max_speed = max_speed
         self.pause_s = pause_s
-        self.mobile = mobile
-        skin = range_m / 4 if mobile else 0.0
-        self._window_s = (skin / (2 * max_speed * _CELL_SLACK) if mobile
-                          else math.inf)
+        skin = range_m / 4
+        self._window_s = skin / (2 * max_speed * _CELL_SLACK)
         self._reach = range_m + skin
         # How fast two nodes' distance can change, and the rounding
         # margin of the band (see the class docstring).
-        self._drift = 2 * max_speed if mobile else 0.0
+        self._drift = 2 * max_speed
         self._margin = range_m * (_CELL_SLACK - 1)
         self._cell_w = self._reach * _CELL_SLACK
         # The window: its start t0 (-inf before the first), positions
@@ -149,23 +134,22 @@ class GeometricTopology:
         # Positions at the latest queried instant.
         self._memo = None
         self._kin = {}
-        # Draw order is fixed by sorted node id so a seed pins the layout.
+        # Draw order is fixed by sorted node id so a seed pins the layout:
+        # every placement first, then each node's first leg from it.
         for n in self.nodes:
-            k = _Kinematics()
-            k.start_pos = self._draw_point(rng)
-            k.waypoint = k.start_pos
-            k.pause_until = 0.0
-            self._kin[n] = k
-        if mobile:
-            for n in self.nodes:
-                self._start_leg(n, 0.0, rng)
+            k = self._kin[n] = _Kinematics()
+            k.waypoint = self._draw_point(rng)
+        for n in self.nodes:
+            self._start_leg(n, 0.0, rng)
 
     def _draw_point(self, rng):
         return (rng.uniform(0.0, self.arena[0]), rng.uniform(0.0, self.arena[1]))
 
     def _start_leg(self, node, now, rng):
+        # A leg starts where the node stands: its placement, or the
+        # waypoint it reached and paused at.
         k = self._kin[node]
-        k.start_pos = self.position(node, now)
+        k.start_pos = k.waypoint
         k.waypoint = self._draw_point(rng)
         k.speed = rng.uniform(self.min_speed, self.max_speed)
         k.leg_start = now
@@ -189,13 +173,10 @@ class GeometricTopology:
 
     def step(self, node, now, rng):
         """Advance the node's movement state; returns next transition time."""
-        if not self.mobile:
-            return None
         if now < self._t0:
             raise _before_window(now, self._t0)
         k = self._kin[node]
         if k.pause_until is None and now >= k.arrive_time:
-            k.start_pos = k.waypoint
             k.pause_until = now + self.pause_s
             return k.pause_until
         if k.pause_until is not None and now >= k.pause_until:

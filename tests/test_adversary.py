@@ -166,7 +166,7 @@ def test_greedy_destination_answers_every_flood_copy():
 def test_attacker_claims_its_cover_when_asked_for_a_next_hop():
     sim = _fixture_sim()
     calls = _recorder(sim)
-    sim.nodes[10].receive(pk.NhnQuery(2, 10, 3, random_number=42), 2)
+    sim.nodes[10].receive(pk.NhnQuery(3, random_number=42), 2)
     (sender, to, reply, force), = calls
     assert (sender, to, force) == (10, 2, True)
     assert reply.nhn == 14

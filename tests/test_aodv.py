@@ -318,7 +318,7 @@ def test_honest_node_reports_its_actual_next_hop():
     _discover(sim, 2, 4)
     node = sim.nodes[2]
     node.trusted.add(3)
-    node.handle_nhn_query(pk.NhnQuery(1, 2, 4, random_number=9), 1)
+    node.handle_nhn_query(pk.NhnQuery(4, random_number=9), 1)
     sim.engine.run_until(sim.engine.now + 1.0)
     sends = [line for line in sim.engine.trace
              if line.split(",")[1] == "2" and ",send_nhnreply," in line]

@@ -21,9 +21,6 @@ SINGLE_INI = """
 name = single
 defense = debh
 
-[mobility]
-mobile = no
-
 [attack]
 mode = single
 groups = 3

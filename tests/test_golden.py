@@ -28,10 +28,10 @@ def _paper30(seed, defense, **kw):
         defense=defense, trace=True, **kw)
 
 
-def _benign(n, connections, name="benign", **kw):
+def _benign(n, connections, **kw):
     """A benign arena run at the mobile ladder's density."""
     side = 1000.0 * math.sqrt(n / 30)
-    return ScenarioConfig(name="%s%d" % (name, n), node_count=n,
+    return ScenarioConfig(name="benign%d" % n, node_count=n,
                           arena=(side, side), connections=connections,
                           seed=1, trace=True, **kw)
 
@@ -54,9 +54,6 @@ RUNS = {
         _benign(60, 20, cache_reply=True), out),
     # Spans many movement windows and grid cells.
     "benign150-s1": lambda out: run_scenario(_benign(150, 50), out),
-    # Nodes never move, so one window lasts the whole run.
-    "still60-s1": lambda out: run_scenario(
-        _benign(60, 20, name="still", mobility=False), out),
 }
 
 GOLDEN = {
@@ -116,14 +113,6 @@ GOLDEN = {
         "events.trace":
             "6e9cfc251e7fc219e5b77b33830dbc39eede5544d8804b21b295470fe16cd35d",
     },
-    "still60-s1": {
-        "metrics.csv":
-            "b7369865eb5a66e9341d56194212daf5482cc39bbef4beac7c460679b004aadb",
-        "audit.log":
-            "009bc8aeca1147bed2a0edb8e71ba9b95345c4275ac43f58b339b0fdaf573d2e",
-        "events.trace":
-            "c5fd827db7bbf6316f90a1ad95c40a4e883b4643b14cc681f75725e471f23558",
-    },
     "suite-s0": {
         "metrics.csv":
             "72ec502ba89ded5c56cd650606fbb0efbd7bbc1018f0f073d2e29768500f3310",
@@ -143,7 +132,6 @@ PROCESSED = {
     "paper30-s0-debh-cache": 4974,
     "paper30-s65-debh": 4334,
     "paper30-s65-none": 2355,
-    "still60-s1": 1826,
     "suite-s0": 19657,
 }
 

@@ -35,7 +35,6 @@ def test_empty_config_keeps_every_default(tmp_path):
     assert cfg.range_m == 200.0
     assert cfg.duration_s == 600.0
     assert (cfg.min_speed, cfg.max_speed, cfg.pause_s) == (2.0, 20.0, 15.0)
-    assert cfg.mobility is True
     assert (cfg.connections, cfg.packets_per_connection) == (10, 10)
     assert cfg.rate_pps == 2.0
     assert cfg.defense == "debh"
@@ -56,7 +55,6 @@ defense = none
 cache_reply = yes
 
 [mobility]
-mobile = no
 min_speed = 1
 max_speed = 5
 pause_s = 2
@@ -83,7 +81,6 @@ flows = 1>4; 2>4@30
     assert cfg.arena == (800.0, 600.0)
     assert cfg.defense == "none"
     assert cfg.cache_reply is True
-    assert cfg.mobility is False
     assert cfg.attack_mode == "cooperative"
     assert cfg.attack_groups == ((10, 14, 15),)
     assert cfg.flows == ((1, 4, 0.0), (2, 4, 30.0))
@@ -91,7 +88,7 @@ flows = 1>4; 2>4@30
     assert cfg == ScenarioConfig(
         name="demo", node_count=16, arena=(800.0, 600.0), range_m=150.0,
         duration_s=300.0, defense="none", cache_reply=True,
-        mobility=False, min_speed=1.0, max_speed=5.0, pause_s=2.0,
+        min_speed=1.0, max_speed=5.0, pause_s=2.0,
         attack_mode="cooperative", attack_groups=((10, 14, 15),),
         connections=4, packets_per_connection=6, rate_pps=1.0,
         flows=((1, 4, 0.0), (2, 4, 30.0)),
@@ -109,9 +106,10 @@ def test_unknown_key_is_rejected_by_name(tmp_path):
     keys = [("scenario", "node_cout"), ("traffic", "payload_bytes")]
     keys += [("timing", name + "_s") for name in _TIMING]
     # The seed is the run's argument, a forged reply's inflation is a
-    # model constant, and every attacker baits one victim at a time.
+    # model constant, every attacker baits one victim at a time, and an
+    # arena's nodes always move (a still network is a [topology] mesh).
     keys += [("scenario", "seed"), ("attack", "seq_inflation"),
-             ("attack", "one_victim")]
+             ("attack", "one_victim"), ("mobility", "mobile")]
     for section, key in keys:
         with pytest.raises(ConfigError, match=key):
             load_config(_write(tmp_path, "[%s]\n%s = 30\n" % (section, key)))

@@ -13,6 +13,7 @@ from debhsim.scenario import (ScenarioConfig, build_simulation, run_scenario,
                               single_scenario, trust_decay_scenario,
                               write_outputs)
 from debhsim.topology import GeometricTopology
+from loss import lose_nth
 from test_golden import GOLDEN, _benign, _digests, _paper30
 
 
@@ -211,6 +212,29 @@ def test_a_check_over_a_reused_route_is_acked():
     sim.run()
     assert not [line for line in sim.audit_lines if ",abort," in line]
     assert sim.metrics.delivered_by_source[3] == 10
+
+
+_SILENCE_CONDEMNS = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="a verify timeout adds its "
+    "target as a suspect, so one lost query or reply condemns honest 4 and "
+    "0 of 10 packets arrive")
+
+
+@pytest.mark.parametrize("kind", [
+    pk.Ack, pk.SuspectReport, pk.NhnQuery, pk.NhnReply,
+    pytest.param(pk.BchQuery, marks=_SILENCE_CONDEMNS),
+    pytest.param(pk.BchReply, marks=_SILENCE_CONDEMNS),
+], ids=lambda kind: kind.__name__)
+def test_a_lost_control_packet_condemns_only_the_attacker(monkeypatch, kind):
+    # Probes and their echoes stay out: the model makes that handshake
+    # atomic.  A lost NhnQuery is the only way this run reaches the
+    # prober's query timeout.
+    lost = lose_nth(monkeypatch, kind)
+    sim = run_scenario(single_scenario(0))
+    assert len(lost) == 1
+    assert sim.metrics.detected_malicious == {3}
+    assert {s.state for s in sim.sessions_all} == {"done"}
+    assert sim.metrics.total_delivered() == 10
 
 
 def test_route_is_reused_across_conversations():

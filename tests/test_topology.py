@@ -11,11 +11,11 @@ from debhsim.topology import (GeometricTopology, StaticTopology,
                               UnknownNodeError, bfs_hops)
 
 
-def _geo(seed=1, mobile=True, **kw):
+def _geo(seed=1, **kw):
     params = dict(nodes=range(1, 11), arena=(500.0, 500.0), range_m=150.0,
                   min_speed=2.0, max_speed=20.0, pause_s=5.0)
     params.update(kw)
-    return GeometricTopology(rng=random.Random(seed), mobile=mobile, **params)
+    return GeometricTopology(rng=random.Random(seed), **params)
 
 
 def _brute_neighbors(topo, node, now):
@@ -37,9 +37,9 @@ def _assert_full_scan(topo, now):
 
 
 def _placed(points, range_m):
-    """An immobile arena with node i+1 parked at points[i]."""
-    topo = _geo(mobile=False, nodes=range(1, len(points) + 1),
-                range_m=range_m)
+    """An arena with node i+1 parked at points[i]: its leg starts and
+    ends there."""
+    topo = _geo(nodes=range(1, len(points) + 1), range_m=range_m)
     for node, point in zip(topo.nodes, points):
         k = topo._kin[node]
         k.start_pos = k.waypoint = point
@@ -56,11 +56,11 @@ def _layouts(draw):
         st.sampled_from([0.0, -0.0, -1e-17, 1e-17, -5e-324, 5e-324]),
     )
     points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
-    # Partners exactly range_m away along an axis.
+    # Partners exactly range_m or the candidate reach away along an axis.
     for x, y in draw(st.lists(st.sampled_from(points), max_size=10)):
+        d = draw(st.sampled_from([range_m, 1.25 * range_m]))
         points.append(draw(st.sampled_from([
-            (x + range_m, y), (x - range_m, y),
-            (x, y + range_m), (x, y - range_m)])))
+            (x + d, y), (x - d, y), (x, y + d), (x, y - d)])))
     return range_m, points
 
 
@@ -92,11 +92,6 @@ def test_static_rejects_unknown_node_queries():
         topo.neighbors(9)
     with pytest.raises(UnknownNodeError):
         topo.has_link(1, 9)
-
-
-def test_static_nodes_never_move():
-    topo = StaticTopology([1, 2], [(1, 2)])
-    assert topo.step(1, 0.0, random.Random(0)) is None
 
 
 def test_bfs_hops_on_a_line():
@@ -186,13 +181,6 @@ def test_same_seed_pins_the_layout():
     assert positions(a) != positions(c)
 
 
-def test_immobile_arena_keeps_positions_fixed():
-    topo = _geo(seed=2, mobile=False)
-    node = topo.nodes[0]
-    assert topo.step(node, 0.0, random.Random(0)) is None
-    assert topo.position(node, 0.0) == topo.position(node, 100.0)
-
-
 def test_geometric_rejects_unknown_node():
     topo = _geo()
     with pytest.raises(UnknownNodeError):
@@ -210,14 +198,23 @@ def test_geometric_rejects_unknown_node():
 
 
 @given(_layouts())
-# Accepted at 150 + 1e-17 rounded to 150, yet two cells apart (-1 and 1)
-# if cells were exactly range_m wide.
+# Accepted at 150 + 1e-17 rounded to 150.
 @example((150.0, [(0.0, 0.0), (0.0, -1e-17), (0.0, 150.0)]))
+# A candidate at the reach 187.5 + 1e-17 rounded to 187.5, yet two cells
+# apart (-1 and 1) if cells were exactly the reach wide.
+@example((150.0, [(0.0, 0.0), (0.0, -1e-17), (0.0, 187.5)]))
 def test_grid_neighbors_equal_a_full_scan_on_edges_and_off_arena(layout):
     range_m, points = layout
     topo = _placed(points, range_m)
     for node in topo.nodes:
         assert topo.neighbors(node, 0.0) == _brute_neighbors(topo, node, 0.0)
+    # Each node's candidates are every node within the reach, which a
+    # later query in the window may find in range.
+    for node in topo.nodes:
+        here = topo.position(node, 0.0)
+        assert [other for other, _ in topo._cand[node]] == [
+            other for other in topo.nodes if other != node
+            and math.dist(here, topo.position(other, 0.0)) <= topo._reach]
 
 
 @given(seed=st.integers(0, 2 ** 16),
@@ -231,18 +228,16 @@ def test_grid_neighbors_equal_a_full_scan_while_moving(seed, now, range_m):
 
 
 @given(seed=st.integers(0, 2 ** 16),
-       mobile=st.booleans(),
        range_m=st.sampled_from([40.0, 90.0]),
        moves=st.lists(st.one_of(
            st.floats(0.0, 0.3), st.floats(0.0, 4.0),
            st.sampled_from(["next", "edge", "past"])), max_size=25))
-def test_neighbors_equal_a_full_scan_along_a_timeline(seed, mobile, range_m,
-                                                       moves):
+def test_neighbors_equal_a_full_scan_along_a_timeline(seed, range_m, moves):
     # Time runs forward as in a simulation: step() at each node's
     # transition times (arrive, pause, new leg), queries in between.
     # "next" queries at a transition's own instant, "edge" at the end of
     # the current window and "past" just after it.
-    topo = _geo(seed=seed, mobile=mobile, nodes=range(1, 21),
+    topo = _geo(seed=seed, nodes=range(1, 21),
                 arena=(300.0, 300.0), range_m=range_m, min_speed=10.0,
                 pause_s=1.0)
     rng = random.Random(seed)
@@ -252,7 +247,7 @@ def test_neighbors_equal_a_full_scan_along_a_timeline(seed, mobile, range_m,
         edge = topo._t0 + topo._window_s
         if move == "next":
             now = max(now, due[0][0]) if due else now
-        elif move in ("edge", "past") and math.isfinite(edge):
+        elif move in ("edge", "past"):
             now = max(now, edge if move == "edge"
                       else math.nextafter(edge, math.inf))
         elif isinstance(move, float):
@@ -264,7 +259,7 @@ def test_neighbors_equal_a_full_scan_along_a_timeline(seed, mobile, range_m,
                 t, node = heapq.heappop(due)
                 nxt = topo.step(node, t, rng)
                 stepped = True
-                if nxt is not None and nxt > t:
+                if nxt > t:
                     heapq.heappush(due, (nxt, node))
             if stepped or not last:
                 _assert_full_scan(topo, now)
