@@ -2,7 +2,6 @@
 and the debh hop-by-hop detection and elimination defense."""
 
 from .metrics import RunMetrics
-from .replay import replay
 from .scenario import ScenarioConfig, build_suite, load_config, run_scenario, \
     run_suite
 from .simulation import Simulation
@@ -11,6 +10,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RunMetrics", "ScenarioConfig", "Simulation", "build_suite",
-    "load_config", "replay", "run_scenario", "run_suite",
+    "load_config", "run_scenario", "run_suite",
     "__version__",
 ]

@@ -1,7 +1,5 @@
 """Honest node behavior: route discovery, data forwarding, path checking."""
 
-from dataclasses import dataclass, field
-
 from . import packets as pk
 from .debh import CheckSession, adjudicate, is_malicious, resolve_next_target
 from .metrics import format_ids
@@ -13,21 +11,25 @@ RREQ_RETRIES = 2
 FLOW_ATTEMPTS = 8
 
 
-@dataclass(slots=True)
-class RoutingEntry:
+class RoutingEntry(pk.Record):
     """A route, and the reply behind it: its generator, the next hop that
     generator claimed and whether it claimed to trust that hop.  A reverse
     route from a RREQ names the origin as generator and as its next hop.
     The check walks this record itself; only fresh changes once built."""
 
-    destination: int
-    next_hop: int
-    hop_count: int
-    dest_seq: int
-    generator: int
-    generator_nhn: int
-    generator_trust: bool = False
-    fresh: bool = True
+    __slots__ = ("destination", "next_hop", "hop_count", "dest_seq",
+                 "generator", "generator_nhn", "generator_trust", "fresh")
+
+    def __init__(self, destination, next_hop, hop_count, dest_seq, generator,
+                 generator_nhn, generator_trust=False, fresh=True):
+        self.destination = destination
+        self.next_hop = next_hop
+        self.hop_count = hop_count
+        self.dest_seq = dest_seq
+        self.generator = generator
+        self.generator_nhn = generator_nhn
+        self.generator_trust = generator_trust
+        self.fresh = fresh
 
 
 def select_best_route(candidates):
@@ -38,23 +40,28 @@ def select_best_route(candidates):
                key=lambda r: (r.dest_seq, -r.hop_count, -r.generator))
 
 
-@dataclass(slots=True)
 class _Pending:
     """One in-flight route discovery at the source, and the routes its
     accepted replies advertise, in arrival order.  Only its two timers
     take it out of Node.pending: the flood's timeout, which the first
     reply cancels, and the end of the selection window."""
 
-    destination: int
-    excluded: tuple
-    dest_only: bool
-    on_route: object              # called with (RoutingEntry, t0)
-    on_fail: object               # called with the destination
-    t0: float
-    broadcast_id: int = 0         # set by each flood
-    candidates: list = field(default_factory=list)
-    timeout_handle: object = None
-    retries_left: int = RREQ_RETRIES
+    __slots__ = ("destination", "excluded", "dest_only", "on_route",
+                 "on_fail", "t0", "broadcast_id", "candidates",
+                 "timeout_handle", "retries_left")
+
+    def __init__(self, destination, excluded, dest_only, on_route, on_fail,
+                 t0):
+        self.destination = destination
+        self.excluded = excluded
+        self.dest_only = dest_only
+        self.on_route = on_route      # called with (RoutingEntry, t0)
+        self.on_fail = on_fail        # called with the destination
+        self.t0 = t0
+        self.broadcast_id = 0         # set by each flood
+        self.candidates = []
+        self.timeout_handle = None
+        self.retries_left = RREQ_RETRIES
 
 
 class Node:

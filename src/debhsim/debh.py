@@ -1,7 +1,5 @@
 """The pair verdict, path-check session state, and queue adjudication."""
 
-from dataclasses import dataclass, field
-
 from .metrics import format_ids
 
 AUDIT_HEADER = ("time,source,path_number,event,subject,"
@@ -20,30 +18,31 @@ def is_malicious(a_trusts_b, b_trusts_a):
     return a_trusts_b and not b_trusts_a
 
 
-@dataclass
 class CheckSession:
     """Source-side state of one path security check, timers included."""
 
-    source: int
-    final_destination: int
-    session_id: int
-    started_at: float = 0.0
-    path_number: int = 1
-    nonce: int = 0
-    current_target: int = None
-    route: object = None          # the aodv.RoutingEntry being checked
-    blackhole_queue: list = field(default_factory=list)
-    rrep_generator_queue: list = field(default_factory=list)
-    # claimant -> (claimed next hop, claimed trust for it)
-    claims: dict = field(default_factory=dict)
-    verified: set = field(default_factory=set)
-    acked: set = field(default_factory=set)
-    dcp_count: int = 0
-    state: str = "checking"
-    verdict: list = None
-    on_done: object = None        # called with True when a path is safe
-    watchdog: object = None       # queue entry of the session timeout
-    verify_timer: object = None   # queue entry of the BCh query timeout
+    def __init__(self, source, final_destination, session_id, started_at=0.0,
+                 current_target=None, on_done=None):
+        self.source = source
+        self.final_destination = final_destination
+        self.session_id = session_id
+        self.started_at = started_at
+        self.path_number = 1
+        self.nonce = 0
+        self.current_target = current_target
+        self.route = None             # the aodv.RoutingEntry being checked
+        self.blackhole_queue = []
+        self.rrep_generator_queue = []
+        # claimant -> (claimed next hop, claimed trust for it)
+        self.claims = {}
+        self.verified = set()
+        self.acked = set()
+        self.dcp_count = 0
+        self.state = "checking"
+        self.verdict = None
+        self.on_done = on_done        # called with True when a path is safe
+        self.watchdog = None          # queue entry of the session timeout
+        self.verify_timer = None      # queue entry of the BCh query timeout
 
     def add_suspect(self, node):
         if node not in self.blackhole_queue:

@@ -1,39 +1,63 @@
 """Packet types exchanged between nodes.
 
 Every packet is a slotted record: it has no __dict__, so setting an
-undeclared attribute raises AttributeError.  Route requests and replies,
-the only packets relayed hop by hop, copy themselves with hopped(), which
-calls the constructor with every field."""
+undeclared attribute raises AttributeError.  Two records are equal when
+they have one type and equal fields; being mutable, they are unhashable.
+Each is a plain class with a written-out constructor, so importing this
+module generates no code.  Route requests and replies, the only packets
+relayed hop by hop, copy themselves with hopped(), which calls the
+constructor with every field."""
 
-from dataclasses import dataclass
+
+class Record:
+    """Base of the slotted records: equality and repr read __slots__."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
 
 
-@dataclass(slots=True)
-class Rreq:
-    """Route request, flooded during discovery."""
+class Rreq(Record):
+    """Route request, flooded during discovery.
 
-    origin: int
-    destination: int
-    origin_seq: int
-    dest_seq_known: int
-    broadcast_id: int
-    hop_count: int = 0
-    # Nodes the source refuses to route through; honest nodes ignore
-    # flood copies and replies arriving from these senders.
-    excluded: tuple = ()
-    # Only the destination may answer (RFC 3561's D flag), not a relay
-    # from its cached route.
-    dest_only: bool = False
+    excluded names the nodes the source refuses to route through; honest
+    nodes ignore flood copies and replies arriving from these senders.
+    dest_only lets only the destination answer (RFC 3561's D flag), not
+    a relay from its cached route."""
+
+    __slots__ = ("origin", "destination", "origin_seq", "dest_seq_known",
+                 "broadcast_id", "hop_count", "excluded", "dest_only")
+
+    def __init__(self, origin, destination, origin_seq, dest_seq_known,
+                 broadcast_id, hop_count=0, excluded=(), dest_only=False):
+        self.origin = origin
+        self.destination = destination
+        self.origin_seq = origin_seq
+        self.dest_seq_known = dest_seq_known
+        self.broadcast_id = broadcast_id
+        self.hop_count = hop_count
+        self.excluded = excluded
+        self.dest_only = dest_only
 
     def hopped(self, hop_count):
-        """Shallow copy with a new hop_count, as dataclasses.replace makes."""
+        """Shallow copy with a new hop_count."""
         return Rreq(self.origin, self.destination, self.origin_seq,
                     self.dest_seq_known, self.broadcast_id, hop_count,
                     self.excluded, self.dest_only)
 
 
-@dataclass(slots=True)
-class Rrep:
+class Rrep(Record):
     """Route reply, unicast back along the reverse path.
 
     generator is the node that produced the reply.  generator_nhn and
@@ -43,129 +67,163 @@ class Rrep:
     The source keeps them in the aodv.RoutingEntry that the check walks.
     """
 
-    origin: int
-    destination: int
-    broadcast_id: int
-    dest_seq: int
-    hop_count: int
-    generator: int
-    generator_nhn: int
-    generator_trust: bool = False
+    __slots__ = ("origin", "destination", "broadcast_id", "dest_seq",
+                 "hop_count", "generator", "generator_nhn", "generator_trust")
+
+    def __init__(self, origin, destination, broadcast_id, dest_seq, hop_count,
+                 generator, generator_nhn, generator_trust=False):
+        self.origin = origin
+        self.destination = destination
+        self.broadcast_id = broadcast_id
+        self.dest_seq = dest_seq
+        self.hop_count = hop_count
+        self.generator = generator
+        self.generator_nhn = generator_nhn
+        self.generator_trust = generator_trust
 
     def hopped(self, hop_count):
-        """Shallow copy with a new hop_count, as dataclasses.replace makes."""
+        """Shallow copy with a new hop_count."""
         return Rrep(self.origin, self.destination, self.broadcast_id,
                     self.dest_seq, hop_count, self.generator,
                     self.generator_nhn, self.generator_trust)
 
 
-@dataclass(slots=True)
-class Data:
+class Data(Record):
     """Application payload, forwarded hop by hop."""
 
-    source: int
-    destination: int
+    __slots__ = ("source", "destination")
+
+    def __init__(self, source, destination):
+        self.source = source
+        self.destination = destination
 
 
-@dataclass(slots=True)
-class DataControl:
+class DataControl(Record):
     """Hop check probe; black holes drop it because it is data-class."""
 
-    nhn: int
-    random_number: int
-    source: int
-    target: int
-    path_number: int
+    __slots__ = ("nhn", "random_number", "source", "target", "path_number")
+
+    def __init__(self, nhn, random_number, source, target, path_number):
+        self.nhn = nhn
+        self.random_number = random_number
+        self.source = source
+        self.target = target
+        self.path_number = path_number
 
 
-@dataclass(slots=True)
-class OrdinalProbe:
+class OrdinalProbe(Record):
     """Same shape as DataControl but control-class; no reply expected.
     A class of its own because the event trace names packets by class."""
 
-    nhn: int
-    random_number: int
-    source: int
-    target: int
-    path_number: int
+    __slots__ = ("nhn", "random_number", "source", "target", "path_number")
+
+    def __init__(self, nhn, random_number, source, target, path_number):
+        self.nhn = nhn
+        self.random_number = random_number
+        self.source = source
+        self.target = target
+        self.path_number = path_number
 
 
-@dataclass(slots=True)
-class DataControlReply:
-    random_number: int
-    path_number: int
+class DataControlReply(Record):
+    __slots__ = ("random_number", "path_number")
+
+    def __init__(self, random_number, path_number):
+        self.random_number = random_number
+        self.path_number = path_number
 
 
-@dataclass(slots=True)
-class Ack:
+class Ack(Record):
     """Sent by the session target back to the source: path reached."""
 
-    node_id: int
-    source: int
-    random_number: int
-    path_number: int
+    __slots__ = ("node_id", "source", "random_number", "path_number")
+
+    def __init__(self, node_id, source, random_number, path_number):
+        self.node_id = node_id
+        self.source = source
+        self.random_number = random_number
+        self.path_number = path_number
 
 
-@dataclass(slots=True)
-class SuspectReport:
+class SuspectReport(Record):
     """A prober tells the source its next hop went silent."""
 
-    reporter: int
-    suspect: int
-    source: int
-    path_number: int
-    random_number: int = 0
-    claimed_nhn: int = None
-    claimed_trust: bool = False
+    __slots__ = ("reporter", "suspect", "source", "path_number",
+                 "random_number", "claimed_nhn", "claimed_trust")
+
+    def __init__(self, reporter, suspect, source, path_number,
+                 random_number=0, claimed_nhn=None, claimed_trust=False):
+        self.reporter = reporter
+        self.suspect = suspect
+        self.source = source
+        self.path_number = path_number
+        self.random_number = random_number
+        self.claimed_nhn = claimed_nhn
+        self.claimed_trust = claimed_trust
 
 
-@dataclass(slots=True)
-class NoRouteReport:
+class NoRouteReport(Record):
     """A chain node lost its route toward the session target."""
 
-    unreachable: int
-    source: int
-    path_number: int
-    random_number: int = 0
+    __slots__ = ("unreachable", "source", "path_number", "random_number")
+
+    def __init__(self, unreachable, source, path_number, random_number=0):
+        self.unreachable = unreachable
+        self.source = source
+        self.path_number = path_number
+        self.random_number = random_number
 
 
-@dataclass(slots=True)
-class NhnQuery:
-    target: int
-    random_number: int = 0
+class NhnQuery(Record):
+    __slots__ = ("target", "random_number")
+
+    def __init__(self, target, random_number=0):
+        self.target = target
+        self.random_number = random_number
 
 
-@dataclass(slots=True)
-class NhnReply:
-    nhn: int
-    trust_for_nhn: bool
-    random_number: int = 0
+class NhnReply(Record):
+    __slots__ = ("nhn", "trust_for_nhn", "random_number")
+
+    def __init__(self, nhn, trust_for_nhn, random_number=0):
+        self.nhn = nhn
+        self.trust_for_nhn = trust_for_nhn
+        self.random_number = random_number
 
 
-@dataclass(slots=True)
-class BchQuery:
-    asker: int
-    addressee: int
-    subjects: tuple
-    path_number: int
-    random_number: int = 0
+class BchQuery(Record):
+    __slots__ = ("asker", "addressee", "subjects", "path_number",
+                 "random_number")
+
+    def __init__(self, asker, addressee, subjects, path_number,
+                 random_number=0):
+        self.asker = asker
+        self.addressee = addressee
+        self.subjects = subjects
+        self.path_number = path_number
+        self.random_number = random_number
 
 
-@dataclass(slots=True)
-class BchReply:
+class BchReply(Record):
     """The subjects asked about that the replier trusts."""
 
-    node_id: int
-    trusted: tuple
-    asker: int
-    path_number: int
-    random_number: int = 0
+    __slots__ = ("node_id", "trusted", "asker", "path_number",
+                 "random_number")
+
+    def __init__(self, node_id, trusted, asker, path_number, random_number=0):
+        self.node_id = node_id
+        self.trusted = trusted
+        self.asker = asker
+        self.path_number = path_number
+        self.random_number = random_number
 
 
-@dataclass(slots=True)
-class Alarm:
+class Alarm(Record):
     """Network-wide elimination broadcast naming confirmed black holes."""
 
-    origin: int
-    alarm_id: int
-    malicious: tuple
+    __slots__ = ("origin", "alarm_id", "malicious")
+
+    def __init__(self, origin, alarm_id, malicious):
+        self.origin = origin
+        self.alarm_id = alarm_id
+        self.malicious = malicious

@@ -1,6 +1,7 @@
 """Packet types: every one has a handler in the node's dispatch table
 and trace kinds named after it, every one (and the routing entry) is a
-slotted record, and relayed packets copy themselves hop by hop."""
+slotted record written out by hand, not a dataclass, and relayed packets
+copy themselves hop by hop."""
 
 import copy
 import dataclasses
@@ -10,12 +11,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from debhsim import packets as pk
-from debhsim.aodv import Node, RoutingEntry
+from debhsim.aodv import Node, RoutingEntry, _Pending
+from debhsim.debh import CheckSession
 from debhsim.simulation import _TRACE_KINDS
 
 PACKET_TYPES = [cls for _, cls in inspect.getmembers(pk, inspect.isclass)
-                if dataclasses.is_dataclass(cls)
-                and cls.__module__ == pk.__name__]
+                if cls.__module__ == pk.__name__ and cls is not pk.Record]
 
 
 def test_every_packet_type_has_a_handler():
@@ -24,7 +25,7 @@ def test_every_packet_type_has_a_handler():
         handler, field = Node._HANDLERS[cls]
         assert callable(getattr(Node, handler)), cls
         if field is not None:
-            assert field in {f.name for f in dataclasses.fields(cls)}, cls
+            assert field in cls.__slots__, cls
         name = cls.__name__.lower()
         assert _TRACE_KINDS[cls] == ("send_" + name, "recv_" + name)
 
@@ -32,12 +33,31 @@ def test_every_packet_type_has_a_handler():
 @pytest.mark.parametrize("cls", PACKET_TYPES + [RoutingEntry],
                          ids=lambda cls: cls.__name__)
 def test_records_are_slotted(cls):
-    required = sum(f.default is dataclasses.MISSING
-                   for f in dataclasses.fields(cls))
+    params = inspect.signature(cls).parameters
+    # Equality and repr read __slots__, so every field is a constructor
+    # argument, in slot order.
+    assert tuple(params) == cls.__slots__
+    required = sum(p.default is inspect.Parameter.empty
+                   for p in params.values())
     record = cls(*range(required))
     assert not hasattr(record, "__dict__")
     with pytest.raises(AttributeError):
         record.undeclared = 1
+    assert record == cls(*range(required))
+    with pytest.raises(TypeError):
+        hash(record)
+
+
+def test_records_compare_by_type_and_fields():
+    probe = pk.DataControl(1, 2, 3, 4, 5)
+    assert probe != pk.OrdinalProbe(1, 2, 3, 4, 5)
+    assert probe != pk.DataControl(1, 2, 3, 4, 6)
+    assert repr(pk.Data(1, 2)) == "Data(source=1, destination=2)"
+
+
+def test_no_record_or_state_holder_is_a_dataclass():
+    for cls in PACKET_TYPES + [RoutingEntry, _Pending, CheckSession]:
+        assert not dataclasses.is_dataclass(cls), cls
 
 
 def test_flood_packet_defaults():
@@ -60,16 +80,17 @@ _HOPPED = st.one_of(
 def test_hopped_is_a_shallow_replace_of_the_hop_count(pkt, hop_count):
     before = copy.copy(pkt)
     new = pkt.hopped(hop_count)
-    ref = dataclasses.replace(pkt, hop_count=hop_count)
+    ref = copy.copy(pkt)
+    ref.hop_count = hop_count
     assert type(new) is type(pkt)
     assert new == ref
     assert new is not pkt
     assert pkt == before
-    # Shallow, like replace: every other field is the very same object,
+    # Shallow, like copy.copy: every other field is the very same object,
     # so the excluded tuple is shared, not copied.
-    for f in dataclasses.fields(pkt):
-        if f.name != "hop_count":
-            assert getattr(new, f.name) is getattr(pkt, f.name)
-            assert getattr(new, f.name) is getattr(ref, f.name)
+    for name in type(pkt).__slots__:
+        if name != "hop_count":
+            assert getattr(new, name) is getattr(pkt, name)
+            assert getattr(new, name) is getattr(ref, name)
     new.hop_count = hop_count + 1
     assert pkt == before

@@ -1,4 +1,9 @@
-"""Golden-trace replay of the two shipped meshes."""
+"""Golden-trace replay of the two shipped meshes, which only
+`debhsim.replay` loads."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -68,3 +73,15 @@ def test_replay_writes_outputs_when_asked(tmp_path):
     replay("cooperative", out_dir=str(out))
     assert (out / "metrics.csv").exists()
     assert (out / "audit.log").exists()
+
+
+def test_importing_the_package_loads_only_the_run_path():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, debhsim; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert "debhsim.scenario" in loaded
+    assert "debhsim.replay" not in loaded
+    assert "debhsim.cli" not in loaded

@@ -214,6 +214,30 @@ def test_a_check_over_a_reused_route_is_acked():
     assert sim.metrics.delivered_by_source[3] == 10
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="a reply can "
+                   "circle a two-node loop: honest 16 and attacker 25 pass "
+                   "two of 22's replies to 2 back and forth 9,828 times "
+                   "from 1.10 s to 50.72 s, 87% of the run's 11,343 "
+                   "events, and a hop count reaches 4,966 (ROADMAP item 3)")
+def test_no_reply_is_relayed_past_the_network_diameter(monkeypatch):
+    # Paper30 seed 25, groups ((13, 25), (30, 27)).  A simple path in a
+    # network of node_count nodes has at most node_count - 1 hops, so
+    # only a loop can carry a reply further.
+    unicast = simulation.Simulation.unicast
+    hops = []
+
+    def recording(sim, sender, to, pkt, force=False):
+        if type(pkt) is pk.Rrep:
+            hops.append(pkt.hop_count)
+        return unicast(sim, sender, to, pkt, force)
+    monkeypatch.setattr(simulation.Simulation, "unicast", recording)
+    sim = build_simulation(replace(_paper30(25, "none"), trace=False))
+    assert sim.cfg.attack_groups == ((13, 25), (30, 27))
+    sim.run()
+    assert hops
+    assert max(hops) <= sim.cfg.node_count - 1
+
+
 _SILENCE_CONDEMNS = pytest.mark.xfail(
     strict=True, raises=AssertionError, reason="a verify timeout adds its "
     "target as a suspect, so one lost query or reply condemns honest 4 and "
