@@ -160,9 +160,19 @@ class Node:
         pend.on_fail(pend.destination)
 
     def _finish_discovery(self, pend):
+        """Install the best reply, unless the table already holds a fresh
+        route with a higher dest_seq that avoids the excluded nodes: a
+        route never falls back to a staler one (RFC 3561 6.2), which would
+        let two nodes route to each other."""
         del self.pending[pend.destination]
         best = select_best_route(pend.candidates)
-        self.table[pend.destination] = best
+        cur = self.fresh_route(pend.destination)
+        if (cur is not None and cur.dest_seq > best.dest_seq
+                and cur.next_hop not in pend.excluded
+                and cur.generator not in pend.excluded):
+            best = cur
+        else:
+            self.table[pend.destination] = best
         pend.on_route(best, pend.t0)
 
     # ---- receive dispatch ----
@@ -196,11 +206,17 @@ class Node:
         getattr(self, handler)(pkt, sender)
 
     def _forward(self, pkt, toward):
-        """Send pkt one hop along the fresh route toward a node; False,
-        and nothing sent, when there is no such route."""
+        """Send pkt one hop along the fresh route toward a node, counting
+        the hop on pkt itself; False, and nothing sent, when there is no
+        such route.  A packet whose hop_count has reached sim.max_hops is
+        dropped silently, True returned as if it were sent: no path
+        without a loop is longer, so only a loop carries it that far."""
         entry = self.fresh_route(toward)
         if entry is None:
             return False
+        if pkt.hop_count >= self.sim.max_hops:
+            return True
+        pkt.hop_count += 1
         # fresh_route has just checked this link at this instant.
         return self.sim.unicast(self.node_id, entry.next_hop, pkt, force=True)
 
@@ -264,11 +280,10 @@ class Node:
 
     def _relay_rrep(self, rrep, sender):
         """Install the advertised route and pass the reply one hop back."""
-        effective_hop = rrep.hop_count + 1
-        self._maybe_install(rrep.destination, sender, effective_hop,
+        self._maybe_install(rrep.destination, sender, rrep.hop_count + 1,
                             rrep.dest_seq, rrep.generator, rrep.generator_nhn,
                             rrep.generator_trust)
-        self._forward(rrep.hopped(effective_hop), rrep.origin)
+        self._forward(rrep, rrep.origin)
 
     # ---- data plane ----
 

@@ -4,9 +4,12 @@ Every packet is a slotted record: it has no __dict__, so setting an
 undeclared attribute raises AttributeError.  Two records are equal when
 they have one type and equal fields; being mutable, they are unhashable.
 Each is a plain class with a written-out constructor, so importing this
-module generates no code.  Route requests and replies, the only packets
-relayed hop by hop, copy themselves with hopped(), which calls the
-constructor with every field."""
+module generates no code.  A route request, the one flooded packet that
+changes on its way, copies itself at each hop with hopped(), which calls
+the constructor with every field.  A packet relayed along routes (a
+route reply, data, and the check's acks, reports, queries and replies)
+stays one object: Node._forward raises its hop_count at each hop and
+drops it at the network's hop bound."""
 
 
 class Record:
@@ -65,6 +68,7 @@ class Rrep(Record):
     destination and whether it claims to trust that hop; when the
     generator is the destination itself, generator_nhn is its own id.
     The source keeps them in the aodv.RoutingEntry that the check walks.
+    hop_count is the generator's advertised distance plus the hops made.
     """
 
     __slots__ = ("origin", "destination", "broadcast_id", "dest_seq",
@@ -81,21 +85,16 @@ class Rrep(Record):
         self.generator_nhn = generator_nhn
         self.generator_trust = generator_trust
 
-    def hopped(self, hop_count):
-        """Shallow copy with a new hop_count."""
-        return Rrep(self.origin, self.destination, self.broadcast_id,
-                    self.dest_seq, hop_count, self.generator,
-                    self.generator_nhn, self.generator_trust)
-
 
 class Data(Record):
     """Application payload, forwarded hop by hop."""
 
-    __slots__ = ("source", "destination")
+    __slots__ = ("source", "destination", "hop_count")
 
-    def __init__(self, source, destination):
+    def __init__(self, source, destination, hop_count=0):
         self.source = source
         self.destination = destination
+        self.hop_count = hop_count
 
 
 class DataControl(Record):
@@ -136,23 +135,27 @@ class DataControlReply(Record):
 class Ack(Record):
     """Sent by the session target back to the source: path reached."""
 
-    __slots__ = ("node_id", "source", "random_number", "path_number")
+    __slots__ = ("node_id", "source", "random_number", "path_number",
+                 "hop_count")
 
-    def __init__(self, node_id, source, random_number, path_number):
+    def __init__(self, node_id, source, random_number, path_number,
+                 hop_count=0):
         self.node_id = node_id
         self.source = source
         self.random_number = random_number
         self.path_number = path_number
+        self.hop_count = hop_count
 
 
 class SuspectReport(Record):
     """A prober tells the source its next hop went silent."""
 
     __slots__ = ("reporter", "suspect", "source", "path_number",
-                 "random_number", "claimed_nhn", "claimed_trust")
+                 "random_number", "claimed_nhn", "claimed_trust", "hop_count")
 
     def __init__(self, reporter, suspect, source, path_number,
-                 random_number=0, claimed_nhn=None, claimed_trust=False):
+                 random_number=0, claimed_nhn=None, claimed_trust=False,
+                 hop_count=0):
         self.reporter = reporter
         self.suspect = suspect
         self.source = source
@@ -160,18 +163,22 @@ class SuspectReport(Record):
         self.random_number = random_number
         self.claimed_nhn = claimed_nhn
         self.claimed_trust = claimed_trust
+        self.hop_count = hop_count
 
 
 class NoRouteReport(Record):
     """A chain node lost its route toward the session target."""
 
-    __slots__ = ("unreachable", "source", "path_number", "random_number")
+    __slots__ = ("unreachable", "source", "path_number", "random_number",
+                 "hop_count")
 
-    def __init__(self, unreachable, source, path_number, random_number=0):
+    def __init__(self, unreachable, source, path_number, random_number=0,
+                 hop_count=0):
         self.unreachable = unreachable
         self.source = source
         self.path_number = path_number
         self.random_number = random_number
+        self.hop_count = hop_count
 
 
 class NhnQuery(Record):
@@ -193,29 +200,32 @@ class NhnReply(Record):
 
 class BchQuery(Record):
     __slots__ = ("asker", "addressee", "subjects", "path_number",
-                 "random_number")
+                 "random_number", "hop_count")
 
     def __init__(self, asker, addressee, subjects, path_number,
-                 random_number=0):
+                 random_number=0, hop_count=0):
         self.asker = asker
         self.addressee = addressee
         self.subjects = subjects
         self.path_number = path_number
         self.random_number = random_number
+        self.hop_count = hop_count
 
 
 class BchReply(Record):
     """The subjects asked about that the replier trusts."""
 
     __slots__ = ("node_id", "trusted", "asker", "path_number",
-                 "random_number")
+                 "random_number", "hop_count")
 
-    def __init__(self, node_id, trusted, asker, path_number, random_number=0):
+    def __init__(self, node_id, trusted, asker, path_number, random_number=0,
+                 hop_count=0):
         self.node_id = node_id
         self.trusted = trusted
         self.asker = asker
         self.path_number = path_number
         self.random_number = random_number
+        self.hop_count = hop_count
 
 
 class Alarm(Record):

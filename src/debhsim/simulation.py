@@ -99,6 +99,9 @@ class Simulation:
         self.sessions = {}            # nonce -> CheckSession
 
         node_ids = cfg.node_ids()
+        # The most hops a relayed packet makes (Node._forward): a path
+        # without a loop visits each node at most once.
+        self.max_hops = len(node_ids) - 1
         if cfg.edges is not None:
             self.topology = StaticTopology(node_ids, cfg.edges)
         else:

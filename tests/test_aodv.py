@@ -1,12 +1,14 @@
 """Route discovery, reply selection, forwarding, and recovery."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from debhsim import packets as pk
-from debhsim.aodv import RoutingEntry, select_best_route
-from debhsim.scenario import ScenarioConfig, build_simulation
+from debhsim.aodv import Node, RoutingEntry, select_best_route
+from debhsim.scenario import ScenarioConfig, build_simulation, run_scenario
+from test_golden import _paper30
 
 
 def _sim(edges, flows=(), groups=(), mode="none", **kw):
@@ -119,6 +121,53 @@ def test_selected_reply_overwrites_whatever_the_source_had():
     assert entry.dest_seq == 1000
 
 
+# Node 1 discovers 3 on the square 1-2-3-4, and the table entry below
+# lands after the flood has read the table, as a relayed reply would
+# install it: (entry, excluded, banned, whether the entry is kept).  The
+# reply arrives through 2 with dest_seq 1.
+@pytest.mark.parametrize("entry, excluded, banned, kept", [
+    (RoutingEntry(3, 4, 1, 5, 3, 3), (), (), True),
+    (RoutingEntry(3, 4, 1, 5, 3, 3), (4,), (), False),
+    (RoutingEntry(3, 2, 1, 5, 4, 3), (4,), (), False),
+    (RoutingEntry(3, 4, 1, 5, 3, 3), (), (4,), False),
+    (RoutingEntry(3, 4, 1, 5, 3, 3, fresh=False), (), (), False),
+    (RoutingEntry(3, 4, 1, 1, 3, 3), (), (), False),
+], ids=["fresher", "excluded-next-hop", "excluded-generator",
+        "banned-next-hop", "stale", "as-fresh"])
+def test_a_discovery_never_downgrades_a_fresher_route(entry, excluded,
+                                                      banned, kept):
+    sim = _sim([(1, 2), (2, 3), (3, 4), (4, 1)])
+    node = sim.nodes[1]
+    node.banned.update(banned)
+    got = {}
+    node.discover(3, excluded, lambda route, t0: got.update(route=route),
+                  lambda d: got.update(failed=d))
+    node.table[3] = entry
+    sim.engine.run_until(5.0)
+    assert (got["route"] is entry) == kept
+    assert node.table[3] is got["route"]
+    if not kept:
+        assert (got["route"].next_hop, got["route"].dest_seq) == (2, 1)
+
+
+def test_paper30_seed_78_keeps_the_fresher_route(monkeypatch):
+    # Groups ((27, 7), (4, 10)).  At 0.52 s node 13 ends a check's
+    # discovery of 27 with replies of dest_seq 1 and 2, the second through
+    # 22, while its table holds a fresh seq-4 route straight to 27.  Taking
+    # the seq-2 route made 13 and 22 route to each other.
+    finish = Node._finish_discovery
+    finished = []
+
+    def recording(node, pend):
+        finish(node, pend)
+        if (node.node_id, pend.destination) == (13, 27):
+            route = node.table[27]
+            finished.append((node.sim.now, route.next_hop, route.dest_seq))
+    monkeypatch.setattr(Node, "_finish_discovery", recording)
+    run_scenario(replace(_paper30(78, "debh"), trace=False))
+    assert finished[0] == (pytest.approx(0.52), 27, 4)
+
+
 def test_relay_keeps_the_fresher_entry():
     sim = _sim([(1, 2), (2, 3)])
     node = sim.nodes[2]
@@ -211,6 +260,25 @@ def test_a_relay_drops_a_reply_to_a_flood_it_never_saw():
     sim.engine.run_until(1.0)
     assert 3 not in sim.nodes[2].table
     assert not [line for line in sim.engine.trace if ",send_rrep," in line]
+
+
+@pytest.mark.parametrize("make", [
+    lambda hops: pk.Data(1, 3, hops),
+    lambda hops: pk.Ack(1, 3, 0, 1, hops),
+], ids=["Data", "Ack"])
+def test_a_relay_counts_hops_and_drops_a_packet_at_the_bound(make):
+    # On the line 1-2-3 no path without a loop is longer than 2 hops.
+    sim = _sim([(1, 2), (2, 3)])
+    sim.nodes[2].table[3] = RoutingEntry(3, 3, 1, 1, 3, 3)
+    got = {1: [], 3: []}
+    for n in got:
+        sim.nodes[n].receive = lambda pkt, sender, n=n: got[n].append(pkt)
+    sim.nodes[2].receive(make(1), 1)
+    sim.nodes[2].receive(make(2), 1)
+    sim.engine.run_until(1.0)
+    assert sim.max_hops == 2
+    # The packet at the bound goes silently: no report back to 1.
+    assert got == {1: [], 3: [make(2)]}
 
 
 def test_the_source_drops_a_reply_to_a_superseded_flood():
@@ -310,7 +378,7 @@ def test_mismatched_probe_reply_marks_the_hop_suspect():
     # The mismatch took the probe's place: its timeout never runs.
     assert timeouts == []
     assert [(n, pkt) for _, n, pkt in reports] == [
-        (1, pk.SuspectReport(2, 3, 1, 1, 555, None, False))]
+        (1, pk.SuspectReport(2, 3, 1, 1, 555, None, False, hop_count=1))]
 
 
 def test_honest_node_reports_its_actual_next_hop():
@@ -397,7 +465,7 @@ def test_a_silent_hop_is_reported_once_by_its_prober(answer, claims, wait):
     sim, t0, reports = _silent_hop(answer)
     cfg = sim.cfg
     assert [(n, pkt) for _, n, pkt in reports] == [
-        (1, pk.SuspectReport(2, 3, 1, 2, 4242, *claims))]
+        (1, pk.SuspectReport(2, 3, 1, 2, 4242, *claims, hop_count=1))]
     sent = t0 + cfg.reply_timeout + wait(cfg)
     assert reports[0][0] == pytest.approx(sent + cfg.hop_latency)
     prober = sim.nodes[2]

@@ -1,5 +1,6 @@
 """The assembled run: radio facade, audit stream, flows end to end."""
 
+import collections
 import sys
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from debhsim.scenario import (ScenarioConfig, build_simulation, run_scenario,
                               single_scenario, trust_decay_scenario,
                               write_outputs)
 from debhsim.topology import GeometricTopology
+from hops import paper30_run
 from loss import lose_nth
 from test_golden import GOLDEN, _benign, _digests, _paper30
 
@@ -214,28 +216,47 @@ def test_a_check_over_a_reused_route_is_acked():
     assert sim.metrics.delivered_by_source[3] == 10
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="a reply can "
-                   "circle a two-node loop: honest 16 and attacker 25 pass "
-                   "two of 22's replies to 2 back and forth 9,828 times "
-                   "from 1.10 s to 50.72 s, 87% of the run's 11,343 "
-                   "events, and a hop count reaches 4,966 (ROADMAP item 3)")
-def test_no_reply_is_relayed_past_the_network_diameter(monkeypatch):
-    # Paper30 seed 25, groups ((13, 25), (30, 27)).  A simple path in a
-    # network of node_count nodes has at most node_count - 1 hops, so
-    # only a loop can carry a reply further.
-    unicast = simulation.Simulation.unicast
-    hops = []
+# Paper30 runs in which two nodes passed one packet back and forth before
+# relays dropped a packet past node count - 1 hops.
+@pytest.mark.parametrize("seed, defense, kind", [
+    # Groups ((13, 25), (30, 27)): honest 16 and attacker 25 passed two of
+    # 22's replies to 2 back and forth 9,828 times, and a hop count
+    # reached 4,966.
+    (25, "none", pk.Rrep),
+    # One Ack between 17 and 20, 787 sends.
+    (40, "debh", pk.Ack),
+    # Between 7 and 22, 1,345 sends.
+    (78, "debh", pk.SuspectReport),
+    # 2,950 sends.
+    (107, "none", pk.NoRouteReport),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_no_packet_is_relayed_past_the_network_diameter(seed, defense, kind):
+    # A simple path in a network of n nodes has at most n - 1 hops, so
+    # only a loop can carry a packet further.
+    sim, most = paper30_run(seed, defense)
+    assert 0 < most[kind] <= len(sim.nodes) - 1
 
-    def recording(sim, sender, to, pkt, force=False):
-        if type(pkt) is pk.Rrep:
-            hops.append(pkt.hop_count)
-        return unicast(sim, sender, to, pkt, force)
-    monkeypatch.setattr(simulation.Simulation, "unicast", recording)
-    sim = build_simulation(replace(_paper30(25, "none"), trace=False))
-    assert sim.cfg.attack_groups == ((13, 25), (30, 27))
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="honest 4 and "
+                   "10 route to each other and pass one check's OrdinalProbe "
+                   "chain back and forth 2,999 times from 0.88 s to 30.86 s; "
+                   "a probe chain builds a new packet at each hop, so the "
+                   "relay hop bound does not reach it (ROADMAP item 12)")
+def test_no_probe_chain_circles():
+    # Paper30 seed 95, cache_reply off.  One walk of a path without a loop
+    # probes at most node count - 1 hops.
+    sim = build_simulation(replace(_paper30(95, "debh"), trace=False))
+    unicast = sim.unicast
+    probes = collections.Counter()
+
+    def recording(sender, to, pkt, force=False):
+        if type(pkt) in (pk.OrdinalProbe, pk.DataControl):
+            probes[pkt.random_number, pkt.path_number] += 1
+        return unicast(sender, to, pkt, force)
+    sim.unicast = recording
     sim.run()
-    assert hops
-    assert max(hops) <= sim.cfg.node_count - 1
+    assert probes
+    assert max(probes.values()) <= len(sim.nodes) - 1
 
 
 _SILENCE_CONDEMNS = pytest.mark.xfail(
