@@ -301,6 +301,7 @@ class Node:
         sessions = self.sim.sessions_all
         session = CheckSession(self.node_id, destination, len(sessions) + 1,
                                t0, current_target=destination, on_done=on_done)
+        session.opened_at = self.sim.now
         sessions.append(session)
         self.sim.audit(session, "session", str(destination))
         self._start_path(session, route)
@@ -552,12 +553,10 @@ class Node:
         session.state = "done"
         self.sim.engine.cancel(session.watchdog)
         if aborted and not session.blackhole_queue:
-            session.verdict = []
             self.sim.audit(session, "abort", "-")
             session.on_done(False)
             return
         condemned, safe = adjudicate(session, self.sim.trusts)
-        session.verdict = condemned
         if safe is not None:
             self.sim.audit(session, "safe", str(safe))
             self.sim.metrics.mark_secure_path(

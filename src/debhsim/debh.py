@@ -26,7 +26,8 @@ class CheckSession:
         self.source = source
         self.final_destination = final_destination
         self.session_id = session_id
-        self.started_at = started_at
+        self.started_at = started_at  # when the checked route was requested
+        self.opened_at = None         # when start_check opened the check
         self.path_number = 1
         self.nonce = 0
         self.current_target = current_target
@@ -39,7 +40,6 @@ class CheckSession:
         self.acked = set()
         self.dcp_count = 0
         self.state = "checking"
-        self.verdict = None
         self.on_done = on_done        # called with True when a path is safe
         self.watchdog = None          # queue entry of the session timeout
         self.verify_timer = None      # queue entry of the BCh query timeout

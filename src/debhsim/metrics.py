@@ -1,4 +1,5 @@
-"""Per-run counters, the id-list format, and the one output-file writer."""
+"""Per-run counters, the claims a finished run is judged by, the id-list
+format, and the one output-file writer."""
 
 from collections import Counter
 from itertools import islice
@@ -29,6 +30,30 @@ def write_lines(path, lines, header=None):
         while block := list(islice(lines, WRITE_BLOCK_LINES)):
             block.append("")
             fh.write("\n".join(block))
+
+
+def claims(sim):
+    """How a finished run stands against the defense's claims: the one
+    definition of soundness, termination and completeness.
+
+    Returns sorted id lists: `honest`, condemned nodes that were not
+    planted; `stale`, sessions opened more than `session_timeout` before
+    the end that are not done; `checked`, planted nodes some session
+    queued as a reply generator, one queued only as a sub-path's
+    destination included; `missed`, checked nodes left uncondemned.
+    Reads only `cfg`, `metrics` and `sessions_all`, so it also judges a
+    `run_suite` cell."""
+    cfg, detected = sim.cfg, sim.metrics.detected_malicious
+    planted = set(cfg.planted())
+    checked = planted & {g for s in sim.sessions_all
+                         for g in s.rrep_generator_queue}
+    return {
+        "honest": sorted(detected - planted),
+        "stale": [s.session_id for s in sim.sessions_all if s.state != "done"
+                  and cfg.duration_s - s.opened_at > cfg.session_timeout],
+        "checked": sorted(checked),
+        "missed": sorted(checked - detected),
+    }
 
 
 class RunMetrics:

@@ -1,7 +1,11 @@
 """How far relayed packets go, for tests only.  Run as a script, it checks
-the hop bound on the paper30 setting, each seed with both defenses:
+the hop bound and the defense's claims on the paper30 setting, each seed
+with both defenses, and exits 1 if either fails:
 
     PYTHONPATH=src python tests/hops.py [first..last]
+
+Every run must condemn the honest nodes HONEST_PIN names for it and no
+others, leave no stale session, and condemn every planted node it checked.
 
 Node._forward relays a packet along routes and drops it once it has made
 node count - 1 hops, since no path without a loop is longer.  A reply's
@@ -13,9 +17,12 @@ each hop, so they stay outside the bound.
 import sys
 from dataclasses import replace
 
-from debhsim import packets as pk
+from debhsim import claims, packets as pk
 from debhsim.scenario import build_simulation
 from test_golden import _paper30
+
+# Seed 65's debh run condemns two honest nodes on silence (ROADMAP item 3a).
+HONEST_PIN = {(65, "debh"): [4, 25]}
 
 RELAYED = (pk.Rrep, pk.Data, pk.Ack, pk.SuspectReport, pk.NoRouteReport,
            pk.BchQuery, pk.BchReply)
@@ -52,6 +59,7 @@ def paper30_run(seed, defense):
 
 def main(first, last):
     over, peak = [], dict.fromkeys(RELAYED, 0)
+    broken, checked = [], 0
     for seed in range(first, last + 1):
         for defense in ("debh", "none"):
             sim, most = paper30_run(seed, defense)
@@ -59,13 +67,24 @@ def main(first, last):
                 peak[kind] = max(peak[kind], hops)
                 if hops > len(sim.nodes) - 1:
                     over.append((seed, defense, kind.__name__, hops))
+            found = claims(sim)
+            checked += len(found["checked"])
+            expected = {"honest": HONEST_PIN.get((seed, defense), []),
+                        "stale": [], "missed": []}
+            for name, ids in expected.items():
+                if found[name] != ids:
+                    broken.append((seed, defense, name, found[name], ids))
     print("paper30 seeds %d..%d, both defenses: %d runs and packet types "
           "past the bound" % (first, last, len(over)))
     print("  most hops: " + ", ".join(
         "%s %d" % (kind.__name__, hops) for kind, hops in peak.items()))
     for row in over:
         print("  seed %d %s: %s made %d hops" % row)
-    return 1 if over else 0
+    print("  claims: %d checked attackers, %d run claims off their pin"
+          % (checked, len(broken)))
+    for row in broken:
+        print("  seed %d %s: %s %s, pinned %s" % row)
+    return 1 if over or broken else 0
 
 
 if __name__ == "__main__":

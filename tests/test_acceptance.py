@@ -6,6 +6,7 @@ so a suite run doubles as the acceptance report.
 
 import functools
 
+from debhsim import claims
 from debhsim.debh import is_malicious
 from debhsim.replay import replay
 from debhsim.scenario import (benign_scenario, build_suite, distributed_fixture,
@@ -29,7 +30,7 @@ def criterion(number, text):
 
 
 @criterion(1, "all seven scenarios detect exactly the planted attackers "
-              "across ten seeds")
+              "and end every check across ten seeds")
 def test_criterion_1_detection_matches_planted_sets():
     expected_sizes = {"single": 1, "coop2": 2, "coop3": 3, "coop5": 5,
                       "coop7": 7, "coop9": 9, "distributed": 4}
@@ -40,6 +41,7 @@ def test_criterion_1_detection_matches_planted_sets():
         assert len(entry["planted"]) == expected_sizes[entry["scenario"]]
     for sim in sims.values():
         assert sorted(sim.metrics.detected_malicious) == sim.cfg.planted()
+        assert claims(sim)["stale"] == []
 
 
 @criterion(2, "both shipped meshes replay their frozen probe trajectories "

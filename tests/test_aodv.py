@@ -511,7 +511,6 @@ def test_a_verify_failure_takes_one_path(failure):
     sim.engine.run_until(sim.now + sim.cfg.query_timeout)
     assert session.state == "done"
     assert session.blackhole_queue == [5]
-    assert session.verdict == [5]
     assert [line.split(",", 1)[1] for line in sim.audit_lines[rows:]] == [
         "1,1,verify,5,-,5", "1,1,malicious,5,5,5"]
     assert done == [False]

@@ -3,7 +3,8 @@
 import pytest
 
 from debhsim.metrics import (CSV_HEADER, WRITE_BLOCK_LINES, MetricsError,
-                             RunMetrics, write_lines)
+                             RunMetrics, claims, write_lines)
+from debhsim.scenario import run_scenario, run_suite, single_scenario
 
 
 def _filled():
@@ -88,3 +89,35 @@ def test_lines_past_one_block_are_written_whole(tmp_path):
     lines = ["%d,x" % i for i in range(2 * WRITE_BLOCK_LINES + 1)]
     write_lines(str(path), iter(lines), "h")
     assert path.read_text() == "h\n" + "".join(line + "\n" for line in lines)
+
+
+# In single_scenario(0), attacker 3 forges the reply, so it is both
+# planted and checked, and the one session ends long before the run.
+
+def test_claims_name_honest_condemned_and_missed_attackers():
+    sim = run_scenario(single_scenario(0))
+    assert claims(sim) == {"honest": [], "stale": [], "checked": [3],
+                           "missed": []}
+    sim.metrics.detected_malicious.add(2)
+    assert claims(sim)["honest"] == [2]
+    sim.metrics.detected_malicious.discard(3)
+    assert claims(sim)["missed"] == [3]
+    assert claims(sim)["checked"] == [3]
+
+
+def test_a_session_is_stale_by_when_it_opened_not_when_its_route_was_asked():
+    sim = run_scenario(single_scenario(0))
+    (session,) = sim.sessions_all
+    session.state = "checking"
+    cutoff = sim.cfg.duration_s - sim.cfg.session_timeout
+    session.started_at, session.opened_at = cutoff - 1.0, cutoff + 1.0
+    assert claims(sim)["stale"] == []
+    session.opened_at = cutoff - 1.0
+    assert claims(sim)["stale"] == [session.session_id]
+
+
+def test_claims_judge_a_suite_cell_whose_lines_went_to_its_files(tmp_path):
+    _, _, sims = run_suite([0], tmp_path)
+    cell = sims[(0, 0)]
+    assert cell.audit_lines is None and cell.cfg.name == "single"
+    assert claims(cell) == claims(run_scenario(cell.cfg))

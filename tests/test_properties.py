@@ -8,6 +8,7 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
+from debhsim import claims
 from debhsim.scenario import DEFENSES, ScenarioConfig, run_scenario
 
 OUTPUTS = ("metrics.csv", "audit.log", "events.trace")
@@ -78,15 +79,7 @@ _STAR = ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9),
                "single", ((3,), (6,), (7,)), ((1, 2, 0.0), (5, 9, 0.0)),
                cache_reply=True))
 def test_every_session_that_had_time_to_end_has_ended(cfg):
-    sim = run_scenario(cfg)
-    # Sessions and their "session" audit rows are both in start order.
-    starts = [float(row.split(",")[0]) for row in sim.audit_lines
-              if row.split(",")[3] == "session"]
-    assert len(starts) == len(sim.sessions_all)
-    cutoff = cfg.duration_s - cfg.session_timeout
-    open_sessions = [(s.session_id, t) for s, t in zip(sim.sessions_all, starts)
-                     if t < cutoff and s.state != "done"]
-    assert open_sessions == []
+    assert claims(run_scenario(cfg))["stale"] == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -160,7 +160,7 @@ def test_honest_network_delivers_everything():
     # The clean path was checked once and passed first time.
     (session,) = sim.sessions_all
     assert session.path_number == 1
-    assert session.verdict == []
+    assert sim.metrics.detected_malicious == set()
 
 
 def test_flow_gives_up_after_repeated_failures():
@@ -302,7 +302,7 @@ def test_session_rows_collect_after_the_run():
     (session,) = sim.sessions_all
     assert (session.source, session.final_destination) == (1, 4)
     assert session.state == "done"
-    assert session.verdict == [3]
+    assert sim.metrics.detected_malicious == {3}
 
 
 def test_every_radio_query_reads_the_clock(monkeypatch):

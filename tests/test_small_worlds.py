@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from debhsim import claims
 from debhsim.scenario import DEFENSES, ScenarioConfig, run_scenario
 
 
@@ -54,37 +55,30 @@ def _config(world, defense, cache_reply):
         duration_s=120.0, defense=defense, cache_reply=cache_reply, seed=0)
 
 
-# Each property takes the world's planted set and its run per defense.
+# Each property takes the world's run per defense; soundness, termination
+# and completeness read debhsim.claims.
 
-def _sound(planted, sims):
+def _sound(sims):
     """No honest node is condemned."""
-    return all(sim.metrics.detected_malicious <= planted for sim in sims.values())
+    return not any(claims(sim)["honest"] for sim in sims.values())
 
 
-def _terminates(planted, sims):
+def _terminates(sims):
     """Every session that had time to end has ended."""
-    sim = sims["debh"]
-    # Sessions and their "session" audit rows are both in start order.
-    starts = [float(row.split(",")[0]) for row in sim.audit_lines
-              if row.split(",")[3] == "session"]
-    cutoff = sim.cfg.duration_s - sim.cfg.session_timeout
-    return all(s.state == "done" for s, t in zip(sim.sessions_all, starts)
-               if t < cutoff)
+    return not claims(sims["debh"])["stale"]
 
 
-def _complete(planted, sims):
+def _complete(sims):
     """Every attacker whose reply a session queued is condemned."""
-    sim = sims["debh"]
-    queued = {g for s in sim.sessions_all for g in s.rrep_generator_queue}
-    return queued & planted <= sim.metrics.detected_malicious
+    return not claims(sims["debh"])["missed"]
 
 
-def _no_worse_than_none(planted, sims):
+def _no_worse_than_none(sims):
     """Without an attacker, the check costs no delivery and no session
     ends through its watchdog."""
-    if planted:
-        return True
     debh = sims["debh"]
+    if debh.cfg.planted():
+        return True
     return (debh.metrics.total_delivered() >= sims["none"].metrics.total_delivered()
             and not any(",abort," in row for row in debh.audit_lines))
 
@@ -98,10 +92,9 @@ def counterexamples(n, cache_reply):
     """For each property, the worlds on n nodes where it fails."""
     failed = {name: [] for name in PROPERTIES}
     for world in worlds(n):
-        planted = set() if world[2] is None else {world[2]}
         sims = {d: run_scenario(_config(world, d, cache_reply)) for d in DEFENSES}
         for name, holds in PROPERTIES.items():
-            if not holds(planted, sims):
+            if not holds(sims):
                 failed[name].append(world)
     return failed
 
