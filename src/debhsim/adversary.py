@@ -113,9 +113,8 @@ class AdversaryNode(Node):
         self.sim.unicast(self.node_id, sender, reply, force=True)
 
     def handle_bch_query(self, pkt, sender):
-        reply = pk.BchReply(self.node_id, pkt.subjects, pkt.asker,
-                            pkt.path_number, pkt.random_number)
-        self._forward(reply, pkt.asker)
+        self._forward(pk.BchReply(pkt.subjects, pkt.asker, pkt.random_number),
+                      pkt.asker)
 
     # ---- elimination ----
 

@@ -292,8 +292,8 @@ class Node:
             self.sim.metrics.delivered_by_source[data.source] += 1
             return
         if not self._forward(data, data.destination):
-            self.receive(pk.NoRouteReport(
-                data.destination, data.source, 0), self.node_id)
+            self.receive(pk.NoRouteReport(data.destination, data.source),
+                         self.node_id)
 
     # ---- path checking: source side ----
 
@@ -316,9 +316,10 @@ class Node:
 
     def _restart_path(self, session):
         """Walk the current sub-path from the source.  After a link break
-        the path number and nonce stay, suspicion state is untouched."""
+        the path number and nonce stay, so the healed walk's packets still
+        answer the check; suspicion state is untouched."""
         self._arm_watchdog(session)
-        self._continue_chain(session.source, session.path_number, session.nonce,
+        self._continue_chain(session.source, session.nonce,
                              session.current_target)
 
     def _arm_watchdog(self, session):
@@ -330,18 +331,18 @@ class Node:
 
     # ---- path checking: chain walking (any node) ----
 
-    def _continue_chain(self, source, path_number, nonce, target):
+    def _continue_chain(self, source, nonce, target):
         """Probe the next hop toward target; a probe that awaits a reply
         is this node's record of the check."""
         entry = self.fresh_route(target)
         if entry is None:
-            self.receive(pk.NoRouteReport(
-                target, source, path_number, nonce), self.node_id)
+            self.receive(pk.NoRouteReport(target, source, nonce),
+                         self.node_id)
             return
         nhn = entry.next_hop
         trusted = nhn in self.trusted
         probe = (pk.OrdinalProbe if trusted else pk.DataControl)(
-            nhn, nonce, source, target, path_number)
+            nhn, nonce, source, target)
         # A hand-made probe may carry a nonce that names no session.
         session = self.sim.sessions.get(nonce)
         if session is not None:
@@ -357,7 +358,7 @@ class Node:
             self.probe_timers[nonce] = (probe, timer)
 
     def handle_data_control(self, pkt, sender):
-        reply = pk.DataControlReply(pkt.random_number, pkt.path_number)
+        reply = pk.DataControlReply(pkt.random_number)
         # The handshake is atomic: a delivered probe always earns its
         # reply, link churn within the exchange is below model resolution.
         self.sim.unicast(self.node_id, sender, reply, force=True)
@@ -366,11 +367,9 @@ class Node:
 
     def handle_ordinal_probe(self, pkt, sender):
         if self.node_id == pkt.target:
-            self.receive(pk.Ack(self.node_id, pkt.source, pkt.random_number,
-                                pkt.path_number), self.node_id)
+            self.receive(pk.Ack(pkt.source, pkt.random_number), self.node_id)
             return
-        self._continue_chain(pkt.source, pkt.path_number, pkt.random_number,
-                             pkt.target)
+        self._continue_chain(pkt.source, pkt.random_number, pkt.target)
 
     def handle_probe_reply(self, pkt, sender):
         rec = self.probe_timers.get(pkt.random_number)
@@ -385,10 +384,10 @@ class Node:
                     session.verified.add(sender)
             return
         # Reply that matches no outstanding nonce: if it came from a hop
-        # we are probing on this path number, the echo was wrong and the
-        # hop is suspect, reported to the probe's own source.
+        # we are probing, the echo was wrong and the hop is suspect,
+        # reported to the probe's own source.
         for nonce, (probe, timer) in self.probe_timers.items():
-            if probe.nhn == sender and probe.path_number == pkt.path_number:
+            if probe.nhn == sender:
                 del self.probe_timers[nonce]
                 self.sim.engine.cancel(timer)
                 self.trusted.discard(sender)
@@ -433,19 +432,18 @@ class Node:
     def _send_suspect_report(self, probe, claimed_nhn=None,
                              claimed_trust=False):
         self.receive(pk.SuspectReport(
-            self.node_id, probe.nhn, probe.source, probe.path_number,
-            probe.random_number, claimed_nhn, claimed_trust), self.node_id)
+            self.node_id, probe.nhn, probe.source, probe.random_number,
+            claimed_nhn, claimed_trust), self.node_id)
 
     # ---- path checking: source reactions ----
 
     def _session_for(self, pkt, state="checking"):
-        """The check pkt answers: this node's session, in state, on pkt's
-        nonce and path number; None for any other."""
+        """The check pkt answers: this node's session, in state, whose
+        live nonce pkt carries; None for any other."""
         session = self.sim.sessions.get(pkt.random_number)
         if (session is None or session.source != self.node_id
                 or session.state != state
-                or session.nonce != pkt.random_number
-                or session.path_number != pkt.path_number):
+                or session.nonce != pkt.random_number):
             return None
         return session
 
@@ -459,12 +457,14 @@ class Node:
         self.sim.audit(session, "suspect", str(pkt.suspect))
         target = resolve_next_target(session, pkt.suspect, pkt.claimed_nhn)
         session.path_number += 1
+        # The path is left: nothing it still carries may answer the check.
+        session.nonce = None
         session.current_target = target
         self.sim.audit(session, "reroute", str(target))
         self._rediscover(session, self._start_path)
 
     def handle_no_route_report(self, pkt, sender):
-        if pkt.path_number == 0:
+        if pkt.random_number is None:
             # A relay lost its next hop; stop reusing the broken route.
             entry = self.table.get(pkt.unreachable)
             if entry is not None:
@@ -501,43 +501,43 @@ class Node:
         session = self._session_for(pkt)
         if session is None:
             return
-        session.acked.add(pkt.node_id)
-        session.verified.add(pkt.node_id)
-        self.sim.audit(session, "ack", str(pkt.node_id))
+        target = session.current_target
+        session.acked.add(target)
+        session.verified.add(target)
+        self.sim.audit(session, "ack", str(target))
         if session.path_number == 1:
             self._finish_session(session)
             return
-        self._begin_verify(session, pkt.node_id)
+        self._begin_verify(session)
 
-    def _begin_verify(self, session, target):
+    def _begin_verify(self, session):
         session.state = "verifying"
+        target = session.current_target
         query = pk.BchQuery(self.node_id, target,
-                            tuple(sorted(session.claims)), session.path_number,
-                            session.nonce)
+                            tuple(sorted(session.claims)), session.nonce)
         self.sim.audit(session, "verify", str(target))
         if not self._forward(query, target):
-            self._verify_timeout(session, target)
+            self._verify_timeout(session)
             return
         session.verify_timer = self.sim.engine.schedule_in(
             self.sim.cfg.query_timeout,
-            lambda: self._verify_timeout(session, target))
+            lambda: self._verify_timeout(session))
 
-    def _verify_timeout(self, session, target):
-        session.add_suspect(target)
+    def _verify_timeout(self, session):
+        session.add_suspect(session.current_target)
         self._finish_session(session)
 
     def handle_bch_query(self, pkt, sender):
         trusted = tuple(s for s in pkt.subjects if s in self.trusted)
-        reply = pk.BchReply(self.node_id, trusted, pkt.asker, pkt.path_number,
-                            pkt.random_number)
-        self._forward(reply, pkt.asker)
+        self._forward(pk.BchReply(trusted, pkt.asker, pkt.random_number),
+                      pkt.asker)
 
     def handle_bch_reply(self, pkt, sender):
         session = self._session_for(pkt, "verifying")
         if session is None:
             return
         self.sim.engine.cancel(session.verify_timer)
-        target = pkt.node_id
+        target = session.current_target
         for claimant in sorted(session.claims):
             claimed_nhn, claimed_trust = session.claims[claimant]
             if claimant == target or claimed_nhn != target:

@@ -29,7 +29,7 @@ class CheckSession:
         self.started_at = started_at  # when the checked route was requested
         self.opened_at = None         # when start_check opened the check
         self.path_number = 1
-        self.nonce = 0
+        self.nonce = None             # the current path's; None between paths
         self.current_target = current_target
         self.route = None             # the aodv.RoutingEntry being checked
         self.blackhole_queue = []

@@ -100,66 +100,58 @@ class Data(Record):
 class DataControl(Record):
     """Hop check probe; black holes drop it because it is data-class."""
 
-    __slots__ = ("nhn", "random_number", "source", "target", "path_number")
+    __slots__ = ("nhn", "random_number", "source", "target")
 
-    def __init__(self, nhn, random_number, source, target, path_number):
+    def __init__(self, nhn, random_number, source, target):
         self.nhn = nhn
         self.random_number = random_number
         self.source = source
         self.target = target
-        self.path_number = path_number
 
 
 class OrdinalProbe(Record):
     """Same shape as DataControl but control-class; no reply expected.
     A class of its own because the event trace names packets by class."""
 
-    __slots__ = ("nhn", "random_number", "source", "target", "path_number")
+    __slots__ = ("nhn", "random_number", "source", "target")
 
-    def __init__(self, nhn, random_number, source, target, path_number):
+    def __init__(self, nhn, random_number, source, target):
         self.nhn = nhn
         self.random_number = random_number
         self.source = source
         self.target = target
-        self.path_number = path_number
 
 
 class DataControlReply(Record):
-    __slots__ = ("random_number", "path_number")
+    __slots__ = ("random_number",)
 
-    def __init__(self, random_number, path_number):
+    def __init__(self, random_number):
         self.random_number = random_number
-        self.path_number = path_number
 
 
 class Ack(Record):
-    """Sent by the session target back to the source: path reached."""
+    """Sent by the session target back to the source: path reached.  It
+    names no sender: the source credits its session's current target."""
 
-    __slots__ = ("node_id", "source", "random_number", "path_number",
-                 "hop_count")
+    __slots__ = ("source", "random_number", "hop_count")
 
-    def __init__(self, node_id, source, random_number, path_number,
-                 hop_count=0):
-        self.node_id = node_id
+    def __init__(self, source, random_number, hop_count=0):
         self.source = source
         self.random_number = random_number
-        self.path_number = path_number
         self.hop_count = hop_count
 
 
 class SuspectReport(Record):
     """A prober tells the source its next hop went silent."""
 
-    __slots__ = ("reporter", "suspect", "source", "path_number",
-                 "random_number", "claimed_nhn", "claimed_trust", "hop_count")
+    __slots__ = ("reporter", "suspect", "source", "random_number",
+                 "claimed_nhn", "claimed_trust", "hop_count")
 
-    def __init__(self, reporter, suspect, source, path_number,
-                 random_number=0, claimed_nhn=None, claimed_trust=False,
-                 hop_count=0):
+    def __init__(self, reporter, suspect, source, random_number,
+                 claimed_nhn=None, claimed_trust=False, hop_count=0):
         self.reporter = reporter
         self.suspect = suspect
         self.source = source
-        self.path_number = path_number
         self.random_number = random_number
         self.claimed_nhn = claimed_nhn
         self.claimed_trust = claimed_trust
@@ -167,16 +159,15 @@ class SuspectReport(Record):
 
 
 class NoRouteReport(Record):
-    """A chain node lost its route toward the session target."""
+    """A node lost its route toward unreachable.  A chain node reports
+    it with the check's nonce; a data relay sends no nonce, and its
+    report is a route error for the data plane."""
 
-    __slots__ = ("unreachable", "source", "path_number", "random_number",
-                 "hop_count")
+    __slots__ = ("unreachable", "source", "random_number", "hop_count")
 
-    def __init__(self, unreachable, source, path_number, random_number=0,
-                 hop_count=0):
+    def __init__(self, unreachable, source, random_number=None, hop_count=0):
         self.unreachable = unreachable
         self.source = source
-        self.path_number = path_number
         self.random_number = random_number
         self.hop_count = hop_count
 
@@ -199,31 +190,27 @@ class NhnReply(Record):
 
 
 class BchQuery(Record):
-    __slots__ = ("asker", "addressee", "subjects", "path_number",
-                 "random_number", "hop_count")
+    __slots__ = ("asker", "addressee", "subjects", "random_number",
+                 "hop_count")
 
-    def __init__(self, asker, addressee, subjects, path_number,
-                 random_number=0, hop_count=0):
+    def __init__(self, asker, addressee, subjects, random_number,
+                 hop_count=0):
         self.asker = asker
         self.addressee = addressee
         self.subjects = subjects
-        self.path_number = path_number
         self.random_number = random_number
         self.hop_count = hop_count
 
 
 class BchReply(Record):
-    """The subjects asked about that the replier trusts."""
+    """The subjects asked about that the replier trusts.  It names no
+    replier: the asker credits the target its session is verifying."""
 
-    __slots__ = ("node_id", "trusted", "asker", "path_number",
-                 "random_number", "hop_count")
+    __slots__ = ("trusted", "asker", "random_number", "hop_count")
 
-    def __init__(self, node_id, trusted, asker, path_number, random_number=0,
-                 hop_count=0):
-        self.node_id = node_id
+    def __init__(self, trusted, asker, random_number=0, hop_count=0):
         self.trusted = trusted
         self.asker = asker
-        self.path_number = path_number
         self.random_number = random_number
         self.hop_count = hop_count
 

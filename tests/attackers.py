@@ -36,7 +36,6 @@ class ProbeAwareAttacker(AdversaryNode):
     forges the check target's Ack toward the source instead of probing on."""
 
     def handle_data_control(self, pkt, sender):
-        self.sim.unicast(self.node_id, sender, pk.DataControlReply(
-            pkt.random_number, pkt.path_number), force=True)
-        self._forward(pk.Ack(pkt.target, pkt.source, pkt.random_number,
-                             pkt.path_number), pkt.source)
+        self.sim.unicast(self.node_id, sender,
+                         pk.DataControlReply(pkt.random_number), force=True)
+        self._forward(pk.Ack(pkt.source, pkt.random_number), pkt.source)

@@ -103,15 +103,15 @@ def test_attacker_destroys_data_and_counts_the_drop():
     # reply as proof and trust it.
     timeouts = []
     timer = sim.engine.schedule_in(1.0, lambda: timeouts.append(sim.now))
-    node.probe_timers[99] = (pk.DataControl(14, 99, 1, 3, 1), timer)
+    node.probe_timers[99] = (pk.DataControl(14, 99, 1, 3), timer)
     queued = len(sim.engine._queue)
     node.receive(pk.Data(1, 3), 2)
     assert sim.metrics.malicious_drops == 1
     assert sim.groups[0].received[(10, 1)] == 1
     # Hop-check probes and their replies die silently too: nothing is
     # sent or scheduled, and no trust entry changes.
-    node.receive(pk.DataControl(10, 98, 1, 3, 1), 2)
-    node.receive(pk.DataControlReply(99, 1), 14)
+    node.receive(pk.DataControl(10, 98, 1, 3), 2)
+    node.receive(pk.DataControlReply(99), 14)
     assert sim.metrics.malicious_drops == 1
     assert len(sim.engine._queue) == queued
     assert node.trusted == set()
@@ -127,7 +127,7 @@ def test_attacker_relays_ordinal_probes_like_an_honest_node():
     relayed = []
     for node in (sim.nodes[10], Node(10, sim)):
         node.table[3] = RoutingEntry(3, 14, 2, 1, 3, 3)
-        node.receive(pk.OrdinalProbe(10, 99, 1, 3, 1), 2)
+        node.receive(pk.OrdinalProbe(10, 99, 1, 3), 2)
         relayed.append((calls[:], {nonce: probe for nonce, (probe, _)
                                    in node.probe_timers.items()}))
         del calls[:]
@@ -135,7 +135,7 @@ def test_attacker_relays_ordinal_probes_like_an_honest_node():
     assert relayed[0] == relayed[1]
     ((sender, to, probe, force),), timers = relayed[0]
     assert (sender, to, force) == (10, 14, True)
-    assert probe == pk.DataControl(14, 99, 1, 3, 1)
+    assert probe == pk.DataControl(14, 99, 1, 3)
     # The probe it sent is its record of the check.
     assert timers == {99: probe}
 
@@ -179,7 +179,7 @@ def test_attacker_vouches_for_every_queried_subject():
     node = sim.nodes[10]
     node.table[1] = RoutingEntry(1, 2, 1, 1, 1, 1)
     calls = _recorder(sim)
-    node.receive(pk.BchQuery(1, 10, (3, 14, 15), 2, random_number=42), 2)
+    node.receive(pk.BchQuery(1, 10, (3, 14, 15), 42), 2)
     (_, _, reply, _), = calls
     assert reply.trusted == (3, 14, 15)
 

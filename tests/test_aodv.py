@@ -264,7 +264,7 @@ def test_a_relay_drops_a_reply_to_a_flood_it_never_saw():
 
 @pytest.mark.parametrize("make", [
     lambda hops: pk.Data(1, 3, hops),
-    lambda hops: pk.Ack(1, 3, 0, 1, hops),
+    lambda hops: pk.Ack(3, 0, hops),
 ], ids=["Data", "Ack"])
 def test_a_relay_counts_hops_and_drops_a_packet_at_the_bound(make):
     # On the line 1-2-3 no path without a loop is longer than 2 hops.
@@ -345,11 +345,16 @@ def test_flow_recovers_when_a_link_breaks():
 
 
 def test_route_error_marks_the_sources_entry_stale():
-    sim = _sim([(1, 2), (2, 3)])
-    node = sim.nodes[1]
-    node.table[3] = RoutingEntry(3, 2, 2, 5, 3, 3)
-    node.handle_no_route_report(pk.NoRouteReport(3, 1, 0), 2)
-    assert not node.table[3].fresh
+    # A report without a nonce is the data plane's: it touches no check.
+    sim, session, _ = _checked_line()
+    source = sim.nodes[1]
+    lost = []
+    sim.flow_route_lost = lambda *pair: lost.append(pair)
+    before = _check_state(sim, session)
+    source.receive(pk.NoRouteReport(5, 1), 2)
+    assert not source.table[5].fresh
+    assert lost == [(1, 5)]
+    assert _check_state(sim, session) == before
 
 
 def _report_sink(sim, *nodes):
@@ -369,16 +374,16 @@ def test_mismatched_probe_reply_marks_the_hop_suspect():
     reports = _report_sink(sim, 1, 4)
     timeouts = []
     timer = sim.engine.schedule_in(1.0, lambda: timeouts.append(sim.now))
-    node.probe_timers[555] = (pk.DataControl(3, 555, 1, 5, 1), timer)
+    node.probe_timers[555] = (pk.DataControl(3, 555, 1, 5), timer)
     # The echo carries nonce 777; the probe sent nonce 555.
-    node.handle_probe_reply(pk.DataControlReply(777, 1), 3)
+    node.handle_probe_reply(pk.DataControlReply(777), 3)
     assert node.probe_timers == {}
     assert 3 not in node.trusted
     sim.engine.run_until(sim.now + 2.0)
     # The mismatch took the probe's place: its timeout never runs.
     assert timeouts == []
     assert [(n, pkt) for _, n, pkt in reports] == [
-        (1, pk.SuspectReport(2, 3, 1, 1, 555, None, False, hop_count=1))]
+        (1, pk.SuspectReport(2, 3, 1, 555, None, False, hop_count=1))]
 
 
 def test_honest_node_reports_its_actual_next_hop():
@@ -421,8 +426,7 @@ def test_a_repeated_suspect_report_for_a_resolved_path_is_ignored():
     node = sim.nodes[1]
     session = node.start_check(4, route, sim.now, lambda safe: None)
     floods = sim.metrics.rreq_count_by_source[1]
-    report = pk.SuspectReport(1, 2, 1, session.path_number, session.nonce,
-                              3, True)
+    report = pk.SuspectReport(1, 2, 1, session.nonce, 3, True)
     node.receive(report, 1)
     node.receive(report, 1)
     events = [line.split(",")[3] for line in sim.audit_lines]
@@ -433,7 +437,7 @@ def test_a_repeated_suspect_report_for_a_resolved_path_is_ignored():
 
 def _silent_hop(answer):
     """Line 1-2-3-4: node 2 probes 3 for a hand-made check by source 1,
-    path 2, nonce 4242; 3 drops the probe and answers the next-hop query
+    nonce 4242; 3 drops the probe and answers the next-hop query
     as answer says."""
     sim = _sim([(1, 2), (2, 3), (3, 4)])
     _discover(sim, 1, 4)
@@ -449,7 +453,7 @@ def _silent_hop(answer):
         hop.handle_nhn_query = lambda pkt, sender: None
     reports = _report_sink(sim, 1)
     t0 = sim.now
-    sim.nodes[2]._continue_chain(1, 2, 4242, 4)
+    sim.nodes[2]._continue_chain(1, 4242, 4)
     sim.engine.run_until(t0 + 2.0)
     return sim, t0, reports
 
@@ -465,7 +469,7 @@ def test_a_silent_hop_is_reported_once_by_its_prober(answer, claims, wait):
     sim, t0, reports = _silent_hop(answer)
     cfg = sim.cfg
     assert [(n, pkt) for _, n, pkt in reports] == [
-        (1, pk.SuspectReport(2, 3, 1, 2, 4242, *claims, hop_count=1))]
+        (1, pk.SuspectReport(2, 3, 1, 4242, *claims, hop_count=1))]
     sent = t0 + cfg.reply_timeout + wait(cfg)
     assert reports[0][0] == pytest.approx(sent + cfg.hop_latency)
     prober = sim.nodes[2]
@@ -486,8 +490,8 @@ def test_a_suspect_report_for_another_nodes_session_is_ignored():
     sim, session, _ = _checked_line()
     rows = len(sim.audit_lines)
     floods = dict(sim.metrics.rreq_count_by_source)
-    sim.nodes[5].receive(pk.SuspectReport(3, 2, 5, session.path_number,
-                                          session.nonce, 3, True), 4)
+    sim.nodes[5].receive(pk.SuspectReport(3, 2, 5, session.nonce, 3, True),
+                         4)
     assert session.path_number == 1
     assert session.blackhole_queue == []
     assert sim.audit_lines[rows:] == []
@@ -507,7 +511,7 @@ def test_a_verify_failure_takes_one_path(failure):
     else:
         source.table[5].fresh = False
     rows = len(sim.audit_lines)
-    source._begin_verify(session, 5)
+    source._begin_verify(session)
     sim.engine.run_until(sim.now + sim.cfg.query_timeout)
     assert session.state == "done"
     assert session.blackhole_queue == [5]
@@ -520,10 +524,9 @@ def test_a_bch_reply_for_another_nodes_session_is_ignored():
     sim, session, done = _checked_line()
     # 5 stays silent, so only the verify timeout can end the check.
     sim.nodes[5].handle_bch_query = lambda pkt, sender: None
-    sim.nodes[1]._begin_verify(session, 5)
+    sim.nodes[1]._begin_verify(session)
     rows = len(sim.audit_lines)
-    sim.nodes[5].receive(pk.BchReply(4, (), 5, session.path_number,
-                                     session.nonce), 4)
+    sim.nodes[5].receive(pk.BchReply((), 5, session.nonce), 4)
     assert session.state == "verifying"
     assert sim.audit_lines[rows:] == []
     assert done == []
@@ -531,3 +534,65 @@ def test_a_bch_reply_for_another_nodes_session_is_ignored():
     sim.engine.run_until(sim.now + sim.cfg.query_timeout)
     assert session.state == "done"
     assert session.blackhole_queue == [5]
+
+
+def _check_state(sim, session):
+    """What a refused packet must leave as it was."""
+    source = sim.nodes[session.source]
+    return (len(sim.audit_lines), session.state, session.path_number,
+            session.nonce, session.current_target, set(session.acked),
+            set(session.verified), list(session.blackhole_queue),
+            dict(source.pending), session.watchdog)
+
+
+def test_leaving_a_path_retires_its_nonce():
+    # Diamond 1-2-4, 1-3-4: a suspect on one branch leaves the other.
+    sim = _sim([(1, 2), (2, 4), (1, 3), (3, 4)], defense="debh")
+    route = _discover(sim, 1, 4)["route"]
+    source = sim.nodes[1]
+    session = source.start_check(4, route, sim.now, lambda safe: None)
+    old = session.nonce
+    source.receive(pk.SuspectReport(1, route.next_hop, 1, old, 4, True), 1)
+    assert (session.path_number, session.nonce) == (2, None)
+    before = _check_state(sim, session)
+    # The path left still carries its nonce; nothing of it may answer.
+    source.receive(pk.Ack(1, old), 1)
+    source.receive(pk.NoRouteReport(4, 1, old), 1)
+    assert _check_state(sim, session) == before
+    # The rediscovery returns, and the next path draws a nonce of its own.
+    sim.engine.run_until(sim.now + 2 * sim.cfg.selection_window)
+    assert session.nonce not in (None, old)
+    assert sim.sessions[old] is sim.sessions[session.nonce] is session
+    events = [line.split(",")[3] for line in sim.audit_lines]
+    assert events.count("route") == 2
+    assert events.count("ack") == 1
+
+
+def test_the_source_verifies_its_own_target():
+    sim, session, _ = _checked_line()
+    session.path_number = 2       # as if a reroute had kept target 5
+    got = []
+    sim.nodes[5].handle_bch_query = lambda pkt, sender: got.append(pkt)
+    rows = len(sim.audit_lines)
+    # An Ack names no sender, so whoever sends it through 3 cannot pick
+    # the node the source verifies.
+    sim.nodes[3].receive(pk.Ack(1, session.nonce), 4)
+    sim.engine.run_until(sim.now + 8 * sim.cfg.hop_latency)
+    assert [pkt.addressee for pkt in got] == [5]
+    # The walk's own probes go on; its Ack comes too late to count.
+    assert [line.split(",", 1)[1] for line in sim.audit_lines[rows:]
+            if ",probe," not in line] == ["1,2,ack,5,-,5", "1,2,verify,5,-,5"]
+
+
+def test_a_check_no_route_report_leaves_the_table_and_flows_alone():
+    sim, session, _ = _checked_line()
+    source = sim.nodes[1]
+    lost = []
+    sim.flow_route_lost = lambda *pair: lost.append(pair)
+    entry = source.table[5]
+    rows = len(sim.audit_lines)
+    source.receive(pk.NoRouteReport(5, 1, session.nonce), 1)
+    assert [line.split(",")[3:5] for line in sim.audit_lines[rows:]] == [
+        ["no_route", "5"]]
+    assert source.table[5] is entry and entry.fresh
+    assert lost == []

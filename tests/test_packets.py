@@ -49,9 +49,9 @@ def test_records_are_slotted(cls):
 
 
 def test_records_compare_by_type_and_fields():
-    probe = pk.DataControl(1, 2, 3, 4, 5)
-    assert probe != pk.OrdinalProbe(1, 2, 3, 4, 5)
-    assert probe != pk.DataControl(1, 2, 3, 4, 6)
+    probe = pk.DataControl(1, 2, 3, 4)
+    assert probe != pk.OrdinalProbe(1, 2, 3, 4)
+    assert probe != pk.DataControl(1, 2, 3, 5)
     assert repr(pk.Data(1, 2)) == "Data(source=1, destination=2, hop_count=0)"
 
 
