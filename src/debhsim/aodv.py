@@ -223,12 +223,13 @@ class Node:
     # ---- flooding ----
 
     def handle_rreq(self, rreq, sender):
+        """Handle the first allowed copy of a flood.  A repeat copy never
+        gets here: Simulation.broadcast drops it at an honest node once
+        the flood is in seen_floods.  A copy from an excluded or banned
+        sender is refused and does not mark the flood seen."""
         if sender in rreq.excluded or sender in self.banned:
             return
-        key = (rreq.origin, rreq.broadcast_id)
-        if key in self.seen_floods:
-            return
-        self.seen_floods[key] = rreq.excluded
+        self.seen_floods[(rreq.origin, rreq.broadcast_id)] = rreq.excluded
         self._maybe_install(rreq.origin, sender, rreq.hop_count + 1,
                             rreq.origin_seq, rreq.origin, rreq.origin)
         if self.node_id == rreq.destination:

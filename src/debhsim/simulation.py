@@ -163,6 +163,14 @@ class Simulation:
         return True
 
     def broadcast(self, sender, pkt):
+        """Send pkt to every neighbour of sender, one hop_latency on.
+
+        A route request copy that comes due at an honest node already
+        holding its flood's (origin, broadcast_id) in seen_floods is
+        dropped there (RFC 3561 6.5): it counts as a processed event and
+        writes its recv_rreq trace line, but reaches no handler.  Every
+        other copy, and every copy at an attacker, goes to Node.receive.
+        """
         engine = self.engine
         neighbors = self.topology.neighbors(sender, engine.now)
         kind = detail = ""
@@ -170,12 +178,22 @@ class Simulation:
             send, kind = _TRACE_KINDS[type(pkt)]
             engine.log(sender, send, f"fanout={len(neighbors)}")
             detail = f"from={sender}"
+        nodes = self.nodes
+        if type(pkt) is pk.Rreq:
+            key = (pkt.origin, pkt.broadcast_id)
+
+            def deliver(n):
+                # Tested when the copy is due, not when it was sent.
+                node = nodes[n]
+                if key not in node.seen_floods or node.malicious:
+                    node.receive(pkt, sender)
+        else:
+            def deliver(n):
+                nodes[n].receive(pkt, sender)
         # One queue entry: its neighbours receive in sorted order, just
         # as one event per neighbour at one fire time would.
-        nodes = self.nodes
         engine.schedule_each(engine.now + self.cfg.hop_latency, neighbors,
-                             lambda n: nodes[n].receive(pkt, sender),
-                             kind, detail)
+                             deliver, kind, detail)
         return len(neighbors)
 
     # ---- check session bookkeeping ----

@@ -57,6 +57,61 @@ def test_broadcast_reaches_every_neighbor():
     assert heard == [2, 3, 4]
 
 
+def _count_rreq_handling(sim):
+    """Wrap each node's handle_rreq on the instance; returns node id ->
+    the senders of the copies it handled, in order."""
+    handled = collections.defaultdict(list)
+    for n, node in sim.nodes.items():
+        def counted(rreq, sender, n=n, handle=node.handle_rreq):
+            handled[n].append(sender)
+            handle(rreq, sender)
+        node.handle_rreq = counted
+    return handled
+
+
+def test_a_repeat_route_request_reaches_no_handler_at_an_honest_node():
+    # Attacker 6 hears 2, 3 and 4; every other node hears at least two.
+    sim = _sim([(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (2, 6), (3, 6),
+                (4, 6)], trace=True, attack_mode="single",
+               attack_groups=((6,),))
+    handled = _count_rreq_handling(sim)
+    sim.nodes[1].discover(4, (), lambda *a: None, lambda *a: None)
+    # Before the selection window closes, every event is a reception.
+    sim.engine.run_until(0.1)
+    trace = sim.engine.trace
+    copies = collections.Counter(line.split(",")[1] for line in trace
+                                 if ",recv_rreq," in line)
+    # The origin already holds its own flood; each other honest node
+    # handles one copy of it however many it hears.
+    assert all(copies[str(n)] > 1 for n in (1, 2, 3, 4, 6))
+    assert {n: len(s) for n, s in handled.items()} == {2: 1, 3: 1, 4: 1,
+                                                        6: copies["6"]}
+    # Every copy is still one processed event and one trace line.
+    fanouts = sum(int(line.rsplit("=", 1)[1]) for line in trace
+                  if ",send_rreq," in line)
+    assert sum(copies.values()) == fanouts
+    assert sim.engine.processed == sum(",recv_" in line for line in trace)
+
+
+@pytest.mark.parametrize("excluded, banned, senders", [
+    ((), (), [2]),
+    ((2,), (), [2, 3]),
+    ((), (2,), [2, 3]),
+], ids=["same-instant-repeat", "excluded-sender", "banned-sender"])
+def test_the_first_allowed_copy_of_a_flood_is_handled(excluded, banned,
+                                                      senders):
+    # Copies from 2 and from 3 come due at 4 at one instant, 2's first.
+    # A repeat is dropped when it is due, not when it was sent; a copy
+    # refused for its sender does not mark the flood seen.
+    sim = _sim([(1, 2), (1, 3), (2, 4), (3, 4)])
+    sim.nodes[4].banned.update(banned)
+    handled = _count_rreq_handling(sim)
+    sim.nodes[1].discover(4, excluded, lambda *a: None, lambda *a: None)
+    sim.engine.run_until(0.1)
+    assert handled[4] == senders
+    assert sim.nodes[4].table[1].next_hop == senders[-1]
+
+
 def _recorded_benign60(trace):
     """The benign60-s1 golden run, with the engine's schedule,
     schedule_each and log wrapped on the instance.  Returns the finished
