@@ -58,6 +58,7 @@ class AdversaryNode(Node):
     def __init__(self, node_id, sim, group):
         super().__init__(node_id, sim)
         self.group = group
+        self.relayed = set()          # (origin, bid) of route requests
 
     # ---- data-class traffic: destroyed ----
 
@@ -74,6 +75,8 @@ class AdversaryNode(Node):
     # ---- route discovery behavior ----
 
     def handle_rreq(self, rreq, sender):
+        """Hear every copy: a route request goes in relayed, never in
+        seen_floods, so the radio drops none.  Forge and relay once."""
         self._maybe_install(rreq.origin, sender, rreq.hop_count + 1,
                             rreq.origin_seq, rreq.origin, rreq.origin)
         if self.node_id == rreq.destination:
@@ -82,9 +85,9 @@ class AdversaryNode(Node):
             self._answer_as_destination(rreq, sender)
             return
         key = (rreq.origin, rreq.broadcast_id)
-        if key in self.seen_floods:
+        if key in self.relayed:
             return
-        self.seen_floods[key] = rreq.excluded
+        self.relayed.add(key)
         if self.group.designated_forger(rreq.origin, rreq.destination) == self.node_id:
             self.forge_rrep(rreq, sender)
         self.sim.broadcast(self.node_id, rreq.hopped(rreq.hop_count + 1))

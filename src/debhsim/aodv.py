@@ -73,11 +73,9 @@ class Node:
         self.node_id = node_id
         self.sim = sim
         self.seq = 0
-        self.next_bid = 0
-        self.next_alarm_id = 0
+        self.next_bid = 0             # id of this node's last flood
         self.table = {}               # destination -> RoutingEntry
-        self.seen_floods = {}         # (origin, bid) -> excluded tuple
-        self.seen_alarms = set()
+        self.seen_floods = {}         # (origin, bid) -> excluded, () if alarm
         self.banned = set()
         self.trusted = set()          # BCh table: probe handshake peers
         self.pending = {}             # destination -> _Pending
@@ -223,9 +221,9 @@ class Node:
     # ---- flooding ----
 
     def handle_rreq(self, rreq, sender):
-        """Handle the first allowed copy of a flood.  A repeat copy never
-        gets here: Simulation.broadcast drops it at an honest node once
-        the flood is in seen_floods.  A copy from an excluded or banned
+        """Handle the first allowed copy of a route request.  A repeat
+        copy never gets here: Simulation.broadcast drops it once the
+        flood is in seen_floods.  A copy from an excluded or banned
         sender is refused and does not mark the flood seen."""
         if sender in rreq.excluded or sender in self.banned:
             return
@@ -570,17 +568,17 @@ class Node:
         session.on_done(safe is not None)
 
     def _broadcast_alarm(self, malicious):
-        self.next_alarm_id += 1
-        self.handle_alarm(pk.Alarm(self.node_id, self.next_alarm_id,
+        self.next_bid += 1
+        self.handle_alarm(pk.Alarm(self.node_id, self.next_bid,
                                    tuple(sorted(malicious))), self.node_id)
 
     # ---- elimination ----
 
     def handle_alarm(self, alarm, sender):
-        key = (alarm.origin, alarm.alarm_id)
-        if key in self.seen_alarms:
-            return
-        self.seen_alarms.add(key)
+        """Obey and relay an alarm.  Only its first copy gets here, or
+        the origin's own fresh alarm: Simulation.broadcast drops every
+        copy due at a node whose seen_floods holds the flood."""
+        self.seen_floods[(alarm.origin, alarm.broadcast_id)] = ()
         self._apply_alarm(alarm)
         self.sim.broadcast(self.node_id, alarm)
 

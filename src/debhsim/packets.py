@@ -175,7 +175,7 @@ class NoRouteReport(Record):
 class NhnQuery(Record):
     __slots__ = ("target", "random_number")
 
-    def __init__(self, target, random_number=0):
+    def __init__(self, target, random_number):
         self.target = target
         self.random_number = random_number
 
@@ -183,7 +183,7 @@ class NhnQuery(Record):
 class NhnReply(Record):
     __slots__ = ("nhn", "trust_for_nhn", "random_number")
 
-    def __init__(self, nhn, trust_for_nhn, random_number=0):
+    def __init__(self, nhn, trust_for_nhn, random_number):
         self.nhn = nhn
         self.trust_for_nhn = trust_for_nhn
         self.random_number = random_number
@@ -208,7 +208,7 @@ class BchReply(Record):
 
     __slots__ = ("trusted", "asker", "random_number", "hop_count")
 
-    def __init__(self, trusted, asker, random_number=0, hop_count=0):
+    def __init__(self, trusted, asker, random_number, hop_count=0):
         self.trusted = trusted
         self.asker = asker
         self.random_number = random_number
@@ -216,11 +216,12 @@ class BchReply(Record):
 
 
 class Alarm(Record):
-    """Network-wide elimination broadcast naming confirmed black holes."""
+    """Network-wide elimination broadcast naming confirmed black holes.
+    Its broadcast_id is drawn from the origin's route request counter."""
 
-    __slots__ = ("origin", "alarm_id", "malicious")
+    __slots__ = ("origin", "broadcast_id", "malicious")
 
-    def __init__(self, origin, alarm_id, malicious):
+    def __init__(self, origin, broadcast_id, malicious):
         self.origin = origin
-        self.alarm_id = alarm_id
+        self.broadcast_id = broadcast_id
         self.malicious = malicious

@@ -163,14 +163,11 @@ class Simulation:
         return True
 
     def broadcast(self, sender, pkt):
-        """Send pkt to every neighbour of sender, one hop_latency on.
-
-        A route request copy that comes due at an honest node already
-        holding its flood's (origin, broadcast_id) in seen_floods is
-        dropped there (RFC 3561 6.5): it counts as a processed event and
-        writes its recv_rreq trace line, but reaches no handler.  Every
-        other copy, and every copy at an attacker, goes to Node.receive.
-        """
+        """Flood pkt, a route request or an alarm, to every neighbour of
+        sender, one hop_latency on.  A copy due at a node whose seen_floods
+        holds the flood's (origin, broadcast_id) is dropped (RFC 3561 6.5):
+        it counts as a processed event and writes its recv_* trace line,
+        but reaches no handler.  Every other copy goes to Node.receive."""
         engine = self.engine
         neighbors = self.topology.neighbors(sender, engine.now)
         kind = detail = ""
@@ -179,22 +176,17 @@ class Simulation:
             engine.log(sender, send, f"fanout={len(neighbors)}")
             detail = f"from={sender}"
         nodes = self.nodes
-        if type(pkt) is pk.Rreq:
-            key = (pkt.origin, pkt.broadcast_id)
+        key = (pkt.origin, pkt.broadcast_id)
 
-            def deliver(n):
-                # Tested when the copy is due, not when it was sent.
-                node = nodes[n]
-                if key not in node.seen_floods or node.malicious:
-                    node.receive(pkt, sender)
-        else:
-            def deliver(n):
-                nodes[n].receive(pkt, sender)
+        def deliver(n):
+            # Tested when the copy is due, not when it was sent.
+            node = nodes[n]
+            if key not in node.seen_floods:
+                node.receive(pkt, sender)
         # One queue entry: its neighbours receive in sorted order, just
         # as one event per neighbour at one fire time would.
         engine.schedule_each(engine.now + self.cfg.hop_latency, neighbors,
                              deliver, kind, detail)
-        return len(neighbors)
 
     # ---- check session bookkeeping ----
 

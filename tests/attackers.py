@@ -15,12 +15,6 @@ class OnOffAttacker(AdversaryNode):
 
     SWITCH_S = 30.0
 
-    @property
-    def malicious(self):
-        # While honest, a repeat route request copy is dropped before it
-        # reaches this node, as it is at any honest Node.
-        return self.sim.now >= self.SWITCH_S
-
 
 def _by_phase(name):
     honest, attacker = getattr(Node, name), getattr(AdversaryNode, name)

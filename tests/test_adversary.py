@@ -187,7 +187,7 @@ def test_attacker_vouches_for_every_queried_subject():
 def test_attacker_relays_alarms_without_obeying_them():
     sim = _fixture_sim(trace=True)
     node = sim.nodes[10]
-    node.receive(pk.Alarm(origin=1, alarm_id=9, malicious=(14,)), 2)
+    node.receive(pk.Alarm(origin=1, broadcast_id=9, malicious=(14,)), 2)
     sim.engine.run_until(1.0)
     assert node.banned == set()
     sends = [line for line in sim.engine.trace

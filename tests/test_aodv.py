@@ -402,7 +402,7 @@ def test_alarm_bans_nodes_and_invalidates_their_routes():
     sim = _sim([(1, 2), (2, 3), (2, 4)])
     _discover(sim, 1, 3)
     assert sim.nodes[1].table[3].fresh
-    alarm = pk.Alarm(origin=4, alarm_id=1, malicious=(3,))
+    alarm = pk.Alarm(origin=4, broadcast_id=1, malicious=(3,))
     sim.nodes[1].receive(alarm, 2)
     assert 3 in sim.nodes[1].banned
     assert not sim.nodes[1].table[3].fresh
@@ -411,9 +411,10 @@ def test_alarm_bans_nodes_and_invalidates_their_routes():
 
 def test_alarm_floods_once_per_id():
     sim = _sim([(1, 2), (2, 3)], trace=True)
-    alarm = pk.Alarm(origin=3, alarm_id=7, malicious=())
-    sim.nodes[1].receive(alarm, 2)
-    sim.nodes[1].receive(alarm, 2)
+    alarm = pk.Alarm(origin=3, broadcast_id=7, malicious=())
+    # Two copies come due at 1 at one instant; the radio drops the second.
+    sim.broadcast(2, alarm)
+    sim.broadcast(2, alarm)
     sim.engine.run_until(1.0)
     sends = [line for line in sim.engine.trace
              if line.split(",")[1] == "1" and ",send_alarm," in line]

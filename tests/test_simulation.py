@@ -51,21 +51,20 @@ def test_broadcast_reaches_every_neighbor():
     heard = []
     for n in (2, 3, 4):
         sim.nodes[n].receive = lambda pkt, sender, n=n: heard.append(n)
-    count = sim.broadcast(1, pk.Alarm(1, 1, ()))
+    sim.broadcast(1, pk.Alarm(1, 1, ()))
     sim.engine.run_until(1.0)
-    assert count == 3
     assert heard == [2, 3, 4]
 
 
-def _count_rreq_handling(sim):
-    """Wrap each node's handle_rreq on the instance; returns node id ->
-    the senders of the copies it handled, in order."""
+def _count_handling(sim, name):
+    """Wrap each node's handler called name on the instance; returns
+    node id -> the senders of the copies it handled, in order."""
     handled = collections.defaultdict(list)
     for n, node in sim.nodes.items():
-        def counted(rreq, sender, n=n, handle=node.handle_rreq):
+        def counted(pkt, sender, n=n, handle=getattr(node, name)):
             handled[n].append(sender)
-            handle(rreq, sender)
-        node.handle_rreq = counted
+            handle(pkt, sender)
+        setattr(node, name, counted)
     return handled
 
 
@@ -74,7 +73,7 @@ def test_a_repeat_route_request_reaches_no_handler_at_an_honest_node():
     sim = _sim([(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (2, 6), (3, 6),
                 (4, 6)], trace=True, attack_mode="single",
                attack_groups=((6,),))
-    handled = _count_rreq_handling(sim)
+    handled = _count_handling(sim, "handle_rreq")
     sim.nodes[1].discover(4, (), lambda *a: None, lambda *a: None)
     # Before the selection window closes, every event is a reception.
     sim.engine.run_until(0.1)
@@ -105,11 +104,50 @@ def test_the_first_allowed_copy_of_a_flood_is_handled(excluded, banned,
     # refused for its sender does not mark the flood seen.
     sim = _sim([(1, 2), (1, 3), (2, 4), (3, 4)])
     sim.nodes[4].banned.update(banned)
-    handled = _count_rreq_handling(sim)
+    handled = _count_handling(sim, "handle_rreq")
     sim.nodes[1].discover(4, excluded, lambda *a: None, lambda *a: None)
     sim.engine.run_until(0.1)
     assert handled[4] == senders
     assert sim.nodes[4].table[1].next_hop == senders[-1]
+
+
+def test_a_repeat_alarm_reaches_no_handler_at_any_node():
+    # Attackers 5 and 6 are a clique; every node hears at least two.
+    sim = _sim([(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 6), (4, 5),
+                (4, 6), (5, 6)], trace=True, attack_mode="cooperative",
+               attack_groups=((5, 6),))
+    handled = _count_handling(sim, "handle_alarm")
+    sim.nodes[1]._broadcast_alarm({5, 6})
+    sim.engine.run_until(1.0)
+    trace = sim.engine.trace
+    copies = collections.Counter(line.split(",")[1] for line in trace
+                                 if ",recv_alarm," in line)
+    assert all(copies[str(n)] > 1 for n in sim.nodes)
+    # The origin handles its own fresh alarm, every other node, honest
+    # or not, its first copy.
+    assert {n: len(s) for n, s in handled.items()} == {
+        n: 1 for n in sim.nodes}
+    assert [n for n, node in sim.nodes.items()
+            if node.banned == {5, 6}] == [1, 2, 3, 4]
+    # Every copy is still one processed event and one trace line.
+    fanouts = sum(int(line.rsplit("=", 1)[1]) for line in trace
+                  if ",send_alarm," in line)
+    assert sum(copies.values()) == fanouts
+    assert sim.engine.processed == sum(",recv_" in line for line in trace)
+
+
+def test_an_alarm_after_a_discovery_is_a_new_flood():
+    # Route requests and alarms draw their ids from one counter: an alarm
+    # id that repeated the origin's last flood would be dropped as seen.
+    sim = _sim([(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    origin = sim.nodes[1]
+    origin.discover(4, (), lambda *a: None, lambda *a: None)
+    sim.engine.run_until(1.0)
+    assert all(n.seen_floods for n in sim.nodes.values())
+    origin._broadcast_alarm({3})
+    sim.engine.run_until(2.0)
+    assert {n: node.banned for n, node in sim.nodes.items()} == {
+        n: {3} for n in sim.nodes}
 
 
 def _recorded_benign60(trace):
