@@ -354,6 +354,11 @@ class Node:
             timer = self.sim.engine.schedule_in(
                 self.sim.cfg.reply_timeout,
                 lambda: self._probe_timeout(probe))
+            # A chain that comes back here supersedes the probe it sent
+            # before, whose timer would suspect a hop that has answered.
+            superseded = self.probe_timers.get(nonce)
+            if superseded is not None:
+                self.sim.engine.cancel(superseded[1])
             self.probe_timers[nonce] = (probe, timer)
 
     def handle_data_control(self, pkt, sender):

@@ -1,7 +1,17 @@
 """Discrete-event kernel: a virtual clock and an event queue.
 
+The queue is keyed by fire time: a heap of the distinct pending times,
+and for each time the list of its entries in insertion order.  Hop
+latency and timeouts are model constants, so many entries share an
+instant; scheduling at a queued instant appends to its list and touches
+no heap.  run_until takes one instant at a time and runs its entries in
+order; an entry scheduled at that instant while it runs starts a new
+list there, which runs next.  Events therefore run in (fire time,
+insertion) order, and each sets the clock from its own fire time, so an
+entry at -0.0 in the instant of 0.0 still runs at -0.0.
+
 A scheduled entry is its own handle: schedule() returns the queued list
-[fire_time, seq, action, node, kind, detail], and cancel(entry) clears its
+[fire_time, action, node, kind, detail], and cancel(entry) clears its
 action, so run_until drops it unrun and uncounted when it comes due.
 Cancelling an entry that has already run, or twice, does nothing.
 
@@ -31,14 +41,16 @@ class SchedulingError(ValueError):
 class Simulator:
     """Virtual-time event loop.
 
-    Events at the same fire time run in insertion order.  The loop draws
-    no random numbers: a run's randomness is Simulation.rng.
+    Events run in fire time order, and those at one fire time in
+    insertion order.  The loop draws no random numbers: a run's
+    randomness is Simulation.rng.
     """
 
     def __init__(self, trace=False):
         self.now = 0.0
+        # The heap of distinct pending fire times, and each one's entries.
         self._queue = []
-        self._seq = 0
+        self._due = {}
         self.processed = 0
         self.trace = [] if trace else None
         # The time of the last trace stamp formatted, and that stamp.
@@ -49,14 +61,18 @@ class Simulator:
         if fire_time < self.now:
             raise SchedulingError(
                 "event at %.4f is before clock %.4f" % (fire_time, self.now))
-        entry = [fire_time, self._seq, action, node, kind, detail]
-        heapq.heappush(self._queue, entry)
-        self._seq += 1
+        entry = [fire_time, action, node, kind, detail]
+        instant = self._due.get(fire_time)
+        if instant is None:
+            self._due[fire_time] = [entry]
+            heapq.heappush(self._queue, fire_time)
+        else:
+            instant.append(entry)
         return entry
 
     def cancel(self, entry):
         """Keep a scheduled entry from running."""
-        entry[2] = None
+        entry[1] = None
 
     def schedule_each(self, fire_time, receivers, action, kind="", detail=""):
         """One entry that calls action(r) for each receiver; it cannot be
@@ -101,17 +117,23 @@ class Simulator:
         if t_end < self.now:
             raise SchedulingError(
                 "cannot run backward to %.4f from %.4f" % (t_end, self.now))
-        queue, pop, trace, line = (self._queue, heapq.heappop, self.trace,
-                                   self._line)
+        queue, due, pop, trace, line = (self._queue, self._due, heapq.heappop,
+                                        self.trace, self._line)
         start = self.processed
-        while queue and queue[0][0] <= t_end:
-            fire_time, _, action, node, kind, detail = pop(queue)
-            if action is None:
-                continue
-            self.now = fire_time
-            if trace is not None and kind:
-                trace.append(line(node, kind, detail))
-            action()
-            self.processed += 1
+        while queue and queue[0] <= t_end:
+            # Popping from the back of the reversed list frees each entry
+            # as it runs.  Entries freed only with their whole instant
+            # would let the cyclic collector run several times as often.
+            instant = due.pop(pop(queue))
+            instant.reverse()
+            while instant:
+                fire_time, action, node, kind, detail = instant.pop()
+                if action is None:
+                    continue
+                self.now = fire_time
+                if trace is not None and kind:
+                    trace.append(line(node, kind, detail))
+                action()
+                self.processed += 1
         self.now = t_end
         return self.processed - start

@@ -17,7 +17,8 @@ class UnknownNodeError(KeyError):
 
 
 class StaticTopology:
-    """Fixed symmetric adjacency; nodes never move."""
+    """Fixed symmetric adjacency; nodes never move.  neighbors() returns
+    a list stored at construction, which callers must not mutate."""
 
     def __init__(self, nodes, edges):
         self.nodes = sorted(nodes)
@@ -29,11 +30,12 @@ class StaticTopology:
                 raise ValueError("self edge on %s" % u)
             self._adj[u].add(v)
             self._adj[v].add(u)
+        self._sorted = {n: sorted(adj) for n, adj in self._adj.items()}
 
     def neighbors(self, node, now=None):
-        if node not in self._adj:
+        if node not in self._sorted:
             raise UnknownNodeError(node)
-        return sorted(self._adj[node])
+        return self._sorted[node]
 
     def has_link(self, u, v, now=None):
         if u not in self._adj or v not in self._adj:
@@ -108,6 +110,13 @@ class GeometricTopology:
     positions, distances and the band itself for coordinates and travel
     well under 10**6 range_m, so a decided pair gets the answer the
     exact test would give.
+
+    The lists neighbors() returns are memoised per instant too: a repeat
+    query for a node at the latest queried instant returns the list the
+    first one built, and reads no position.  Within one instant the
+    window, its candidates and every position are fixed, a step()
+    included, so the memo is exact.  Callers must not mutate a returned
+    list.
     """
 
     def __init__(self, nodes, arena, range_m, min_speed, max_speed,
@@ -133,6 +142,9 @@ class GeometricTopology:
         self._pos0 = self._cells = self._cand = None
         # Positions at the latest queried instant.
         self._memo = None
+        # The lists neighbors() returned at its latest queried instant.
+        self._found_at = None
+        self._found = {}
         self._kin = {}
         # Draw order is fixed by sorted node id so a seed pins the layout:
         # every placement first, then each node's first leg from it.
@@ -229,6 +241,12 @@ class GeometricTopology:
         return memo
 
     def neighbors(self, node, now):
+        if now == self._found_at:
+            found = self._found.get(node)
+            if found is not None:
+                return found
+        else:
+            self._found_at, self._found = now, {}
         band = self._band(now)
         if band is None:
             self._open_window(now)
@@ -249,6 +267,7 @@ class GeometricTopology:
                     here = pos[node]
                 if math.dist(here, pos[other]) <= range_m:
                     found.append(other)
+        self._found[node] = found
         return found
 
     def has_link(self, u, v, now):

@@ -96,7 +96,7 @@ def test_engagement_is_freed_after_the_victim_quota():
     assert group.engaged[15] is None
 
 
-def test_attacker_destroys_data_and_counts_the_drop():
+def test_attacker_destroys_data_and_counts_the_drop(monkeypatch):
     sim = _fixture_sim()
     node = sim.nodes[10]
     # A probe of 14 is outstanding, so an honest node would take 14's
@@ -104,7 +104,13 @@ def test_attacker_destroys_data_and_counts_the_drop():
     timeouts = []
     timer = sim.engine.schedule_in(1.0, lambda: timeouts.append(sim.now))
     node.probe_timers[99] = (pk.DataControl(14, 99, 1, 3), timer)
-    queued = len(sim.engine._queue)
+    scheduled = []
+    schedule = sim.engine.schedule
+
+    def counted(*args, **kwargs):
+        scheduled.append(args)
+        return schedule(*args, **kwargs)
+    monkeypatch.setattr(sim.engine, "schedule", counted)
     node.receive(pk.Data(1, 3), 2)
     assert sim.metrics.malicious_drops == 1
     assert sim.groups[0].received[(10, 1)] == 1
@@ -113,7 +119,7 @@ def test_attacker_destroys_data_and_counts_the_drop():
     node.receive(pk.DataControl(10, 98, 1, 3), 2)
     node.receive(pk.DataControlReply(99), 14)
     assert sim.metrics.malicious_drops == 1
-    assert len(sim.engine._queue) == queued
+    assert scheduled == []
     assert node.trusted == set()
     assert list(node.probe_timers) == [99]
     # The reply cancelled nothing: the probe's timeout still runs.

@@ -8,6 +8,7 @@ import pytest
 from debhsim import packets as pk
 from debhsim.aodv import Node, RoutingEntry, select_best_route
 from debhsim.scenario import ScenarioConfig, build_simulation, run_scenario
+from debhsim.topology import StaticTopology
 from test_golden import _paper30
 
 
@@ -17,6 +18,14 @@ def _sim(edges, flows=(), groups=(), mode="none", **kw):
                          flows=tuple(flows), connections=max(len(flows), 1),
                          **kw)
     return build_simulation(cfg)
+
+
+def _cut(sim, u, v):
+    """Break the static link u-v from now on."""
+    topo = sim.topology
+    edges = [(a, b) for a in topo.nodes for b in topo.neighbors(a)
+             if a < b and {a, b} != {u, v}]
+    sim.topology = StaticTopology(topo.nodes, edges)
 
 
 def _discover(sim, source, dest, excluded=(), horizon=5.0, **kw):
@@ -331,11 +340,7 @@ def test_flow_recovers_when_a_link_breaks():
     sim = _sim([(1, 2), (2, 5), (1, 3), (3, 5)], flows=((1, 5, 0.0),),
                defense="none")
 
-    def cut():
-        sim.topology._adj[2].discard(5)
-        sim.topology._adj[5].discard(2)
-
-    sim.engine.schedule(2.5, cut)
+    sim.engine.schedule(2.5, lambda: _cut(sim, 2, 5))
     sim.run()
     # One packet dies at the break; the rest re-route through 3.
     assert sim.metrics.total_sent() == 10
@@ -446,8 +451,7 @@ def _silent_hop(answer):
 
     def drop_probe(pkt, sender):
         if answer == "refused":
-            sim.topology._adj[2].discard(3)
-            sim.topology._adj[3].discard(2)
+            _cut(sim, 2, 3)
 
     hop.handle_data_control = drop_probe
     if answer == "silent":
@@ -475,6 +479,27 @@ def test_a_silent_hop_is_reported_once_by_its_prober(answer, claims, wait):
     assert reports[0][0] == pytest.approx(sent + cfg.hop_latency)
     prober = sim.nodes[2]
     assert 3 not in prober.trusted
+    assert prober.probe_timers == {} and prober.pending_nhn == {}
+
+
+def test_a_chain_that_comes_back_supersedes_the_probe_it_sent():
+    """Line 1-2-3-4: node 2 probes 3 twice for one nonce, as a chain that
+    runs through 2 twice would; 3 drops the first probe and answers the
+    second.  The first probe's reply timer must not suspect 3."""
+    sim = _sim([(1, 2), (2, 3), (3, 4)])
+    _discover(sim, 1, 4)
+    hop = sim.nodes[3]
+    answer = hop.handle_data_control
+    hop.handle_data_control = lambda pkt, sender: setattr(
+        hop, "handle_data_control", answer)
+    reports = _report_sink(sim, 1)
+    prober, t0, cfg = sim.nodes[2], sim.now, sim.cfg
+    prober._continue_chain(1, 4242, 4)
+    sim.engine.schedule(t0 + cfg.reply_timeout / 2,
+                        lambda: prober._continue_chain(1, 4242, 4))
+    sim.engine.run_until(t0 + 2 * cfg.reply_timeout + cfg.query_timeout)
+    assert reports == []
+    assert 3 in prober.trusted
     assert prober.probe_timers == {} and prober.pending_nhn == {}
 
 

@@ -275,3 +275,97 @@ def test_every_trace_line_prints_its_own_time(entries):
     assert ran == expected_ran
     assert processed == sim.processed == len(expected_ran)
     assert sim.trace == ["%.4f,%s,%s,%s" % line for line in expected]
+
+
+# First fire times: shared instants, and both zeros, which the queue files
+# under one instant but which print differently.
+_FIRST_TIMES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0])
+# What a call does: ("at", delay) schedules an entry that far after now:
+# 0 joins the running instant, 0.5 and 1.0 mostly land on instants other
+# entries share, a drawn delay mostly on one of its own.  ("cancel", k)
+# cancels the k-th entry scheduled so far, modulo their count, whether it
+# has run, is due at the running instant or later, or is cancelled.
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("at"), st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                                       st.floats(0.01, 1.5))),
+    st.tuples(st.just("cancel"), st.integers(0, 20))), max_size=3)
+_HORIZONS = (0.0, 1.0, 10.0)
+
+
+def _reference_run(first, programs):
+    """The schedule walked by a scan for the least (fire time, insertion
+    index) due: ((repr(now), index) per call, trace lines, calls per
+    horizon).  Entry k runs programs[k % len(programs)] unless two
+    generations of calls led to it; an even k is tagged."""
+    entries, pending = [], []   # [time, index, generation, cancelled]
+    ran, trace, counts = [], [], []
+
+    def add(t, generation):
+        entry = [t, len(entries), generation, False]
+        entries.append(entry)
+        pending.append(entry)
+
+    for t in first:
+        add(t, 0)
+    for horizon in _HORIZONS:
+        count = 0
+        while any(e[0] <= horizon for e in pending):
+            entry = min((e for e in pending if e[0] <= horizon),
+                        key=lambda e: (e[0], e[1]))
+            pending.remove(entry)
+            t, k, generation, cancelled = entry
+            if cancelled:
+                continue
+            count += 1
+            ran.append((repr(t), k))
+            if k % 2 == 0:
+                trace.append("%.4f,%d,recv,at=%r" % (t, k, t))
+            trace.append("%.4f,%d,note," % (t, k))
+            if generation < 2:
+                for op, arg in programs[k % len(programs)]:
+                    if op == "at":
+                        add(t + arg, generation + 1)
+                    else:
+                        entries[arg % len(entries)][3] = True
+        counts.append(count)
+    return ran, trace, counts
+
+
+@given(st.lists(_FIRST_TIMES, max_size=8),
+       st.lists(_OPS, min_size=1, max_size=4))
+@example([0.0, -0.0], [[]])
+@example([0.5, 1.0], [[("at", 0.0)]])
+@example([1.0, 0.5, 0.5], [[("at", 0.5), ("cancel", 1)], [("at", 0.0)]])
+def test_calls_run_by_fire_time_then_insertion_as_a_scan_would(first,
+                                                               programs):
+    """Entries that calls schedule at the running instant run in it, after
+    the entries already there and before the next instant; each call
+    sees its own entry's fire time as the clock."""
+    sim = Simulator(trace=True)
+    handles, generations, ran = [], [], []
+
+    def add(t, generation):
+        k = len(handles)
+        handles.append(sim.schedule(t, partial(call, k), k,
+                                    "" if k % 2 else "recv", "at=%r" % t))
+        generations.append(generation)
+
+    def call(k):
+        ran.append((repr(sim.now), k))
+        sim.log(k, "note")
+        if generations[k] < 2:
+            for op, arg in programs[k % len(programs)]:
+                if op == "at":
+                    add(sim.now + arg, generations[k] + 1)
+                else:
+                    sim.cancel(handles[arg % len(handles)])
+
+    for t in first:
+        add(t, 0)
+    counts = [sim.run_until(horizon) for horizon in _HORIZONS]
+    expected_ran, expected_trace, expected_counts = _reference_run(first,
+                                                                   programs)
+    assert ran == expected_ran
+    assert counts == expected_counts
+    assert sim.processed == len(expected_ran)
+    assert sim.trace == expected_trace

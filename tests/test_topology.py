@@ -329,6 +329,44 @@ def test_queries_at_one_instant_read_each_position_once(monkeypatch):
     assert len(calls) <= len(topo.nodes)
 
 
+def _replay_to_first_leg_after_a_pause(topo, rng, before_step=None):
+    """Step every node in time order up to and including the first step
+    that ends a pause and starts a leg; returns its time.  before_step(t)
+    runs just before that step."""
+    due = [(0.0, n) for n in topo.nodes]
+    while True:
+        t, node = heapq.heappop(due)
+        k = topo._kin[node]
+        ends_pause = k.pause_until is not None and t >= k.pause_until
+        if ends_pause and before_step is not None:
+            before_step(t)
+        heapq.heappush(due, (topo.step(node, t, rng), node))
+        if ends_pause:
+            assert k.pause_until is None and k.leg_start == t
+            return t
+
+
+def test_a_repeat_query_after_a_step_answers_as_a_fresh_topology(
+        monkeypatch):
+    # A step() that starts a leg leaves the node where it paused, so
+    # neighbors(n, t) asked again after a step at t returns the list
+    # built before it, and reads no position for it.
+    topo = _geo(seed=5, pause_s=0.5)
+    first = {}
+    t = _replay_to_first_leg_after_a_pause(
+        topo, random.Random(5),
+        lambda t: first.update((n, topo.neighbors(n, t)) for n in topo.nodes))
+    calls = _count_positions(monkeypatch)
+    again = {n: topo.neighbors(n, t) for n in topo.nodes}
+    assert calls == []
+    monkeypatch.undo()
+    assert all(again[n] is first[n] for n in topo.nodes)
+    fresh = _geo(seed=5, pause_s=0.5)
+    assert _replay_to_first_leg_after_a_pause(fresh, random.Random(5)) == t
+    assert again == {n: fresh.neighbors(n, t) for n in fresh.nodes}
+    assert any(again.values())
+
+
 def test_queries_across_instants_read_only_candidate_positions(monkeypatch):
     # Within one window, an instant after its first reads each position
     # once, and only for queried nodes and those within range_m + skin
