@@ -90,7 +90,8 @@ class Node:
             return None
         if entry.next_hop in self.banned:
             return None
-        if not self.sim.has_link(self.node_id, entry.next_hop):
+        sim = self.sim
+        if not sim.topology.has_link(self.node_id, entry.next_hop, sim.now):
             entry.fresh = False
             return None
         return entry

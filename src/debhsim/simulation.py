@@ -145,9 +145,6 @@ class Simulation:
 
     # ---- radio ----
 
-    def has_link(self, u, v):
-        return self.topology.has_link(u, v, self.engine.now)
-
     def unicast(self, sender, to, pkt, force=False):
         engine = self.engine
         if not force and not self.topology.has_link(sender, to, engine.now):

@@ -11,6 +11,10 @@ import math
 # the skin a margin for rounded positions.
 _CELL_SLACK = 1.0 + 1e-9
 
+# The cells a grid cell meets besides itself, so that each pair of
+# adjacent cells meets once.
+_FORWARD = ((1, -1), (1, 0), (1, 1), (0, 1))
+
 
 class UnknownNodeError(KeyError):
     pass
@@ -75,23 +79,25 @@ class GeometricTopology:
     the transition times it returns.
 
     Neighbour queries read a movement window, a Verlet neighbour list
-    with a skin.  A window holds every node's position at its start t0,
-    a grid of cells about range_m + skin wide, and, built on a node's
-    first query in the window, the ids within range_m + skin of that
-    node at t0, sorted, each with its distance d0 at t0.  neighbors()
-    returns the same ids, sorted, as a scan over all nodes by the test
-    math.dist(...) <= range_m at the queried instant would, because
-    broadcast scheduling follows that order.
+    with a skin.  Opening a window at t0 reads every node's position
+    there, puts the nodes in a grid of cells about range_m + skin wide,
+    and sweeps the grid once: each cell meets itself and its four
+    forward cells (+1,-1), (+1,0), (+1,+1) and (0,+1), so each pair of
+    nodes in adjacent cells is met once.  A pair within range_m + skin
+    of each other at t0 goes on both nodes' candidate lists, which are
+    sorted by id.  neighbors() returns the same ids, sorted, as a scan
+    over all nodes by the test math.dist(...) <= range_m at the queried
+    instant would, because broadcast scheduling follows that order.
 
     The skin is range_m / 4 and a window lasts W = skin / (2 * max_speed)
     = range_m / (8 * max_speed) seconds.  Under one movement state a node
     moves at most max_speed * |t - t0| between t0 and t, and across a
     step() its position is continuous from the change on, so the
     distance of two nodes at any now in [t0, t0 + W] differs from their
-    d0 by at most the band 2 * max_speed * (now - t0) <= skin; nodes
-    within range_m at now were within range_m + skin at t0.  A window
-    therefore serves every query whose now lies in [t0, t0 + W].  A later
-    now opens a new window there.
+    distance d0 at t0 by at most 2 * max_speed * (now - t0) <= skin;
+    nodes within range_m at now were within range_m + skin at t0.  A
+    window therefore serves every query whose now lies in [t0, t0 + W].
+    A later now opens a new window there.
 
     Callers query and step in time order, as the simulation clock runs:
     a step() leaves every position at its own instant where it was, and
@@ -100,23 +106,33 @@ class GeometricTopology:
     served: a query or a step() earlier than the window's start raises
     ValueError.
 
-    The band decides most links without positions at now: a pair with
-    d0 <= range_m - band is in range, and one with d0 > range_m + band
-    is out.  Only a pair inside the band gets the exact test on
-    positions at now, which are memoised per instant.  has_link() uses
-    the same rule when the window serves its now, and otherwise reads
-    at most two memoised positions; it never opens a window.  The band
-    is widened by range_m * (_CELL_SLACK - 1), far above the rounding of
-    positions, distances and the band itself for coordinates and travel
-    well under 10**6 range_m, so a decided pair gets the answer the
-    exact test would give.
+    Each pair's drift bound is tighter than 2 * max_speed.  The window
+    records each node's top speed over [t0, t0 + W]: 0 if it is paused
+    past the window's end, its leg speed if it is travelling and
+    arrive_time + pause_s falls after the end, and max_speed otherwise.
+    A pair's distance at now then lies within the band s * (now - t0) of
+    its d0, where s, the pair's drift bound, is the sum of the two top
+    speeds.  The band decides most links without positions at now: a
+    pair with d0 <= range_m - band is in range, and one with d0 >
+    range_m + band is out.  So the sweep stores with each candidate the
+    last instant its d0 decides it, t0 + (|d0 - range_m| - margin) / s,
+    or the window's whole span if s is 0.  Only a pair past that instant
+    gets the exact test on positions at now, which are memoised per
+    instant.  has_link() uses the same band when the window serves its
+    now, and otherwise reads at most two memoised positions; it never
+    opens a window.  The margin, range_m * (_CELL_SLACK - 1), is far
+    above the rounding of positions, distances and the band itself for
+    coordinates and travel well under 10**6 range_m, so a decided pair
+    gets the answer the exact test would give.
 
-    The lists neighbors() returns are memoised per instant too: a repeat
-    query for a node at the latest queried instant returns the list the
-    first one built, and reads no position.  Within one instant the
-    window, its candidates and every position are fixed, a step()
-    included, so the memo is exact.  Callers must not mutate a returned
-    list.
+    neighbors() holds each list it builds with a span [since, until] and
+    returns it, reading no position, to a query with since <= now <=
+    until; a repeat query at one instant is the case now == since.
+    until is the soonest instant one of the node's links can change: the
+    window's end, a decided candidate's last decided instant, or now +
+    (|d - range_m| - margin) / s for a candidate the exact test found at
+    distance d.  Opening a window drops every held list.  Callers must
+    not mutate a returned list.
     """
 
     def __init__(self, nodes, arena, range_m, min_speed, max_speed,
@@ -130,21 +146,18 @@ class GeometricTopology:
         skin = range_m / 4
         self._window_s = skin / (2 * max_speed * _CELL_SLACK)
         self._reach = range_m + skin
-        # How fast two nodes' distance can change, and the rounding
-        # margin of the band (see the class docstring).
-        self._drift = 2 * max_speed
+        # The rounding margin of the band (see the class docstring).
         self._margin = range_m * (_CELL_SLACK - 1)
         self._cell_w = self._reach * _CELL_SLACK
-        # The window: its start t0 (-inf before the first), positions
-        # and cells at t0, and the candidate lists built so far, each
-        # (id, distance at t0) pairs.
-        self._t0 = -math.inf
-        self._pos0 = self._cells = self._cand = None
+        # The window: its start t0 and end (-inf before the first), and
+        # at t0 the positions, each node's top speed and its candidates,
+        # (id, linked while decided, last decided instant) triples.
+        self._t0 = self._end = -math.inf
+        self._pos0 = self._top = self._cand = None
+        # node -> (since, until, list) for each list neighbors() holds.
+        self._held = {}
         # Positions at the latest queried instant.
         self._memo = None
-        # The lists neighbors() returned at its latest queried instant.
-        self._found_at = None
-        self._found = {}
         self._kin = {}
         # Draw order is fixed by sorted node id so a seed pins the layout:
         # every placement first, then each node's first leg from it.
@@ -198,40 +211,55 @@ class GeometricTopology:
     def _open_window(self, now):
         pos0 = _Positions(self, now)
         pos0.update((n, self.position(n, now)) for n in self.nodes)
-        cells = {}
+        end = now + self._window_s
+        max_speed, pause_s = self.max_speed, self.pause_s
+        top = {}
+        for n, k in self._kin.items():
+            if k.pause_until is not None:
+                top[n] = 0.0 if k.pause_until > end else max_speed
+            else:
+                top[n] = (k.speed if k.arrive_time + pause_s > end
+                          else max_speed)
+        # Each cell lists (id, position, top speed) of the nodes in it.
         w = self._cell_w
-        for n, (x, y) in pos0.items():
-            cells.setdefault((math.floor(x / w), math.floor(y / w)),
-                             []).append(n)
-        self._t0 = now
-        self._pos0, self._cells, self._cand = pos0, cells, {}
+        cells = {}
+        for n, here in pos0.items():
+            key = (math.floor(here[0] / w), math.floor(here[1] / w))
+            cells.setdefault(key, []).append((n, here, top[n]))
+        cand = {n: [] for n in self.nodes}
+        reach, range_m, margin = self._reach, self.range_m, self._margin
+        dist, inf = math.dist, math.inf
+        for (cx, cy), members in cells.items():
+            # The cell's own members, then those of its forward cells.
+            block = members + [e for i, j in _FORWARD
+                               for e in cells.get((cx + i, cy + j), ())]
+            for i, (node, here, speed) in enumerate(members, 1):
+                mine = cand[node]
+                for other, there, pace in block[i:]:
+                    d0 = dist(here, there)
+                    if d0 <= reach:
+                        s = speed + pace
+                        decided = (now + (abs(d0 - range_m) - margin) / s
+                                   if s else inf)
+                        linked = d0 <= range_m
+                        mine.append((other, linked, decided))
+                        cand[other].append((node, linked, decided))
+        for mine in cand.values():
+            mine.sort()
+        self._t0, self._end = now, end
+        self._pos0, self._top, self._cand = pos0, top, cand
+        self._held = {}
         self._memo = pos0
 
-    def _candidates(self, node):
-        """(id, distance at t0) of each node within range_m + skin of the
-        node at t0, sorted by id."""
-        pos0, reach, w = self._pos0, self._reach, self._cell_w
-        here = pos0[node]
-        cx, cy = math.floor(here[0] / w), math.floor(here[1] / w)
-        cells = self._cells
-        cand = [(other, d0)
-                for i in (cx - 1, cx, cx + 1) for j in (cy - 1, cy, cy + 1)
-                for other in cells.get((i, j), ())
-                if other != node
-                and (d0 := math.dist(here, pos0[other])) <= reach]
-        cand.sort()
-        return cand
-
-    def _band(self, now):
-        """How far a distance at `now` may lie from its d0, rounding
-        included, or None if `now` lies after the window (ValueError
-        before it)."""
+    def _serves(self, now):
+        """Whether the window serves `now`: False after it, ValueError
+        before it."""
         t0 = self._t0
-        if t0 <= now <= t0 + self._window_s:
-            return self._drift * (now - t0) + self._margin
+        if t0 <= now <= self._end:
+            return True
         if now < t0:
             raise _before_window(now, t0)
-        return None
+        return False
 
     def _at(self, now):
         """Positions at `now` under the current movement."""
@@ -241,40 +269,44 @@ class GeometricTopology:
         return memo
 
     def neighbors(self, node, now):
-        if now == self._found_at:
-            found = self._found.get(node)
-            if found is not None:
-                return found
-        else:
-            self._found_at, self._found = now, {}
-        band = self._band(now)
-        if band is None:
+        held = self._held.get(node)
+        if held is not None and held[0] <= now <= held[1]:
+            return held[2]
+        if not self._serves(now):
             self._open_window(now)
-            band = self._band(now)
         cand = self._cand.get(node)
         if cand is None:
-            cand = self._cand[node] = self._candidates(node)
-        range_m = self.range_m
-        near, far = range_m - band, range_m + band
+            raise UnknownNodeError(node)
+        range_m, margin, top = self.range_m, self._margin, self._top
+        until = self._end
         found = []
         pos = None
-        for other, d0 in cand:
-            if d0 <= near:
-                found.append(other)
-            elif d0 <= far:
-                if pos is None:
-                    pos = self._at(now)
-                    here = pos[node]
-                if math.dist(here, pos[other]) <= range_m:
+        for other, linked, decided in cand:
+            if now <= decided:
+                if linked:
                     found.append(other)
-        self._found[node] = found
+                if decided < until:
+                    until = decided
+                continue
+            if pos is None:
+                pos = self._at(now)
+                here, speed = pos[node], top[node]
+            d = math.dist(here, pos[other])
+            if d <= range_m:
+                found.append(other)
+            # s > 0 here: a still pair is decided for the whole window.
+            change = now + (abs(d - range_m) - margin) / (speed + top[other])
+            if change < until:
+                until = change
+        self._held[node] = (now, max(now, until), found)
         return found
 
     def has_link(self, u, v, now):
-        range_m, band = self.range_m, self._band(now)
-        if band is not None:
-            pos0 = self._pos0
+        range_m = self.range_m
+        if self._serves(now):
+            pos0, top = self._pos0, self._top
             d0 = math.dist(pos0[u], pos0[v])
+            band = (top[u] + top[v]) * (now - self._t0) + self._margin
             if d0 <= range_m - band:
                 return True
             if d0 > range_m + band:

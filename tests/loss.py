@@ -15,7 +15,8 @@ def lose_nth(monkeypatch, kind, n=1):
     sent, lost = [0], []
 
     def lossy(sim, sender, to, pkt, force=False):
-        if type(pkt) is kind and (force or sim.has_link(sender, to)):
+        if type(pkt) is kind and (
+                force or sim.topology.has_link(sender, to, sim.now)):
             sent[0] += 1
             if sent[0] == n:
                 lost.append(pkt)

@@ -324,6 +324,19 @@ def test_trace_output_is_optional(tmp_path):
     assert (out / "events.trace").exists()
 
 
+def test_a_static_run_writes_the_same_audit_and_trace_at_any_seed(tmp_path):
+    # On a fixed mesh a run draws only check nonces, and no output shows
+    # one, so the seed changes no audit or trace byte.
+    for seed in (0, 14):
+        cfg = dataclasses.replace(distributed_fixture(seed), trace=True)
+        run_scenario(cfg, str(tmp_path / str(seed)))
+    for name in ("audit.log", "events.trace"):
+        first, other = ((tmp_path / str(seed) / name).read_bytes()
+                        for seed in (0, 14))
+        assert first == other
+    assert len(first.splitlines()) > 100
+
+
 def test_run_suite_orders_rows_by_scenario_then_seed(tmp_path):
     out = tmp_path / "suite"
     rows, summary, sims = run_suite([0, 1], str(out))

@@ -208,11 +208,11 @@ def test_grid_neighbors_equal_a_full_scan_on_edges_and_off_arena(layout):
     topo = _placed(points, range_m)
     for node in topo.nodes:
         assert topo.neighbors(node, 0.0) == _brute_neighbors(topo, node, 0.0)
-    # Each node's candidates are every node within the reach, which a
-    # later query in the window may find in range.
+    # The sweep's candidates for each node are, by id, every node within
+    # the reach, which a later query in the window may find in range.
     for node in topo.nodes:
         here = topo.position(node, 0.0)
-        assert [other for other, _ in topo._cand[node]] == [
+        assert [other for other, *_ in topo._cand[node]] == [
             other for other in topo.nodes if other != node
             and math.dist(here, topo.position(other, 0.0)) <= topo._reach]
 
@@ -229,17 +229,26 @@ def test_grid_neighbors_equal_a_full_scan_while_moving(seed, now, range_m):
 
 @given(seed=st.integers(0, 2 ** 16),
        range_m=st.sampled_from([40.0, 90.0]),
+       pause_s=st.sampled_from([0.0, 1.0, 30.0]),
        moves=st.lists(st.one_of(
            st.floats(0.0, 0.3), st.floats(0.0, 4.0),
            st.sampled_from(["next", "edge", "past"])), max_size=25))
-def test_neighbors_equal_a_full_scan_along_a_timeline(seed, range_m, moves):
+# A node whose pause ends inside a window sets off faster than its last
+# leg, and a link it makes flips there.
+@example(seed=61574, range_m=90.0, pause_s=1.0,
+         moves=[1.55, "edge", 10.86, "past", "edge"])
+def test_neighbors_equal_a_full_scan_along_a_timeline(seed, range_m, pause_s,
+                                                      moves):
     # Time runs forward as in a simulation: step() at each node's
     # transition times (arrive, pause, new leg), queries in between.
     # "next" queries at a transition's own instant, "edge" at the end of
-    # the current window and "past" just after it.
+    # the current window and "past" just after it.  The pauses give
+    # every top speed a window can record: a node that stays paused past
+    # the window's end, one whose leg or pause ends inside it, and one
+    # still on its leg at the end.
     topo = _geo(seed=seed, nodes=range(1, 21),
                 arena=(300.0, 300.0), range_m=range_m, min_speed=10.0,
-                pause_s=1.0)
+                pause_s=pause_s)
     rng = random.Random(seed)
     due = [(0.0, n) for n in topo.nodes]
     now = 0.0
@@ -398,6 +407,62 @@ def test_has_link_without_a_snapshot_reads_two_positions(monkeypatch):
     topo.has_link(1, 2, 4.0)
     topo.has_link(1, 2, 5.0)
     assert calls == [1, 2, 1, 2]
+
+
+def test_a_held_list_ends_when_a_closing_pair_can_reach_range():
+    # Node 1 stands paused for the whole window and node 2 drives at it
+    # at 10 m/s from 155 m, so the pair's drift bound is 10 m/s, not
+    # 2 * max_speed, and it comes within range_m = 150 at t = 0.5.  The
+    # list built at t = 0 is held until the link can change, and no
+    # longer.
+    topo = _geo(nodes=range(1, 3))
+    parked, driving = topo._kin[1], topo._kin[2]
+    parked.start_pos = parked.waypoint = (1000.0, 200.0)
+    parked.pause_until = 100.0
+    driving.start_pos, driving.waypoint = (1155.0, 200.0), (0.0, 200.0)
+    driving.speed, driving.leg_start = 10.0, 0.0
+    driving.arrive_time, driving.pause_until = 115.5, None
+    held = topo.neighbors(1, 0.0)
+    assert held == [] and topo.neighbors(1, 0.25) is held
+    assert topo.neighbors(1, 0.45) is held
+    late = 0.6
+    assert late < topo._window_s
+    assert topo.neighbors(1, late) == [2] == _brute_neighbors(topo, 1, late)
+    assert topo._t0 == 0.0
+
+
+@pytest.mark.parametrize("paused", [False, True])
+def test_a_node_that_sets_off_inside_a_window_is_bounded_by_max_speed(
+        paused):
+    # Node 2 stands paused past the window's end, 155 m from where node 1
+    # stops at t = 0.2: node 1 is paused there until then, or crawls
+    # into it at 2 m/s with no pause to follow.  Then it drives at node 2
+    # at max_speed, so the pair comes within range_m = 150 at t = 0.45.
+    # Node 1's top speed over the window is max_speed, not its last
+    # leg's speed.
+    topo = _geo(nodes=range(1, 3), pause_s=0.0)
+    rng = random.Random(1)
+    parked, mover = topo._kin[2], topo._kin[1]
+    parked.start_pos = parked.waypoint = (1000.0, 200.0)
+    parked.pause_until = 100.0
+    mover.waypoint, mover.speed = (1155.0, 200.0), 2.0
+    if paused:
+        mover.start_pos, mover.pause_until = mover.waypoint, 0.2
+    else:
+        mover.start_pos, mover.leg_start = (1155.4, 200.0), 0.0
+        mover.arrive_time, mover.pause_until = 0.2, None
+    assert topo.neighbors(1, 0.0) == topo.neighbors(2, 0.0) == []
+    for _ in range(1 if paused else 2):  # arrive, then end the pause
+        topo.step(1, 0.2, rng)
+    assert mover.pause_until is None and mover.leg_start == 0.2
+    mover.waypoint, mover.speed = (0.0, 200.0), topo.max_speed
+    mover.arrive_time = 0.2 + 1155.0 / topo.max_speed
+    late = 0.6
+    assert late < topo._window_s
+    assert topo.has_link(1, 2, late)
+    assert topo.neighbors(1, late) == [2] == _brute_neighbors(topo, 1, late)
+    assert topo.neighbors(2, late) == [1]
+    assert topo._t0 == 0.0
 
 
 def _moving_pair(d0, apart):
